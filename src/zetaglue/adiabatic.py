@@ -14,15 +14,14 @@ asserted rather than assumed.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from .glue import GlueGeometry, condition_A_check, logdet_closed
+from .glue import (GlueGeometry, condition_A_check, logdet_closed, logdet_grid,
+                   mode_table)
 from .scattering import c12_family, model_logdet, model_logdet_star
 from .spectral_core import (
     EULER_GAMMA,
@@ -84,45 +83,34 @@ class SweepResult:
         return tuple(getattr(r, name) for r in self.rows if not r.failed)
 
 
-def _sweep_row(geom: GlueGeometry, fiber: FiberSpectrum, h_Y: int) -> SweepRow:
+def _sweep_row(R: float, asm, h_Y: int) -> SweepRow:
+    """One row from logdet_grid's entry at stretch R, marked failed when
+    the entry is an error or a determinant overflows a float."""
     try:
-        asm = logdet_closed(geom, fiber)
-        scale = geom.R ** h_Y
-        return SweepRow(
-            R=geom.R,
-            log_det_M=asm.log_det_M,
-            log_det_M1=asm.log_det_M1,
-            log_det_M2=asm.log_det_M2,
-            log_det_R=asm.log_det_R,
-            scaled_ratio=scale * math.exp(asm.log_ratio),
-            scaled_det_R=scale * math.exp(asm.log_det_R),
-            bfk_ratio=math.exp(asm.log_bfk_ratio),
-        )
+        if isinstance(asm, Exception):
+            raise asm
+        scale = R ** h_Y
+        return SweepRow(R, asm.log_det_M, asm.log_det_M1, asm.log_det_M2,
+                        asm.log_det_R, scale * math.exp(asm.log_ratio),
+                        scale * math.exp(asm.log_det_R),
+                        math.exp(asm.log_bfk_ratio))
     except Exception as exc:  # row marked failed, sweep continues
-        return SweepRow(geom.R, math.nan, math.nan, math.nan, math.nan,
-                        math.nan, math.nan, math.nan, failed=True,
-                        error=str(exc))
+        return SweepRow(R, *[math.nan] * 7, failed=True, error=str(exc))
 
 
 def sweep(geom_template: GlueGeometry, fiber: FiberSpectrum,
-          R_grid=DEFAULT_R_GRID, threads: int | None = None) -> SweepResult:
-    """Fill the determinant columns over a stretch grid.
+          R_grid=DEFAULT_R_GRID) -> SweepResult:
+    """Fill the determinant columns over a stretch grid, in grid order.
 
-    Rows are independent; with threads > 1 they are computed in a pool and
-    reassembled in grid order, so the result is deterministic either way.
+    All stretches are evaluated together by logdet_grid: one array pass
+    for a finite fiber, one pass per stretch for a circle fiber.
     """
     condition_A_check(geom_template, fiber).raise_if_failed()
     h_Y = 2 * fiber.h0
     Rs = sorted(float(R) for R in R_grid)
-    geoms = [geom_template.with_R(R) for R in Rs]
-    if threads is None:
-        threads = int(os.environ.get("ZETAGLUE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda g: _sweep_row(g, fiber, h_Y), geoms))
-    else:
-        rows = [_sweep_row(g, fiber, h_Y) for g in geoms]
-    return SweepResult(tuple(rows), h_Y, fiber, geom_template)
+    entries = logdet_grid(geom_template, fiber, Rs)
+    rows = tuple(_sweep_row(R, asm, h_Y) for R, asm in zip(Rs, entries))
+    return SweepResult(rows, h_Y, fiber, geom_template)
 
 
 # ---------------------------------------------------------------------------
@@ -275,31 +263,40 @@ class BfkCheck:
     max_rel_dev: float
     passed: bool
     per_row: tuple[float, ...]
+    failed_rows: tuple[tuple[float, str], ...] = ()   # (R, error) per failed row
 
 
 def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck:
-    """The gluing constant holds per row, with no extrapolation."""
+    """The gluing constant holds per row, with no extrapolation; fails when
+    any row failed or when no row is left to check."""
     predicted = predicted_bfk_constant(result.fiber)
     ratios = result.column("bfk_ratio")
     devs = tuple(abs(r / predicted - 1.0) for r in ratios)
     worst = max(devs, default=0.0)
-    return BfkCheck(predicted, worst, worst <= rel_tol, ratios)
+    failed = tuple((r.R, r.error) for r in result.rows if r.failed)
+    passed = bool(ratios) and not failed and worst <= rel_tol
+    return BfkCheck(predicted, worst, passed, ratios, failed)
 
 
 # ---------------------------------------------------------------------------
 # Heat-trace cancellation
 # ---------------------------------------------------------------------------
 
-def _mode_phases(geom: GlueGeometry, fiber: FiberSpectrum):
-    """Yield (mu, mult, theta) over all fiber modes, adaptively truncated."""
-    for theta in geom.holonomy:
-        yield 0.0, 1, theta
-    for idx, (mu, mult) in enumerate(fiber.nonzero_modes()):
-        yield mu, mult, geom.nonzero_phase(idx)
-        if fiber.kind == "finite":
-            count = sum(1 for m, _ in fiber.modes if m > 0.0)
-            if idx + 1 >= count:
-                return
+def _modes_through(fiber: FiberSpectrum, mu_max: float) -> int | None:
+    """Mode-table length holding a circle fiber's modes up to mu_max and the
+    first one past it; None, the whole table, for a finite fiber."""
+    if fiber.kind == "finite":
+        return None
+    return int(mu_max * fiber.circumference / (2.0 * math.pi)) + 2
+
+
+def _mode_phases(geom: GlueGeometry, fiber: FiberSpectrum, mu_max: float):
+    """(mu, mult, theta) over all fiber modes, zero modes first; a circle
+    fiber's modes run through the first one past mu_max."""
+    mu, mult, theta = mode_table(geom, fiber, _modes_through(fiber, mu_max))
+    h0 = len(geom.holonomy)
+    return zip([0.0] * h0 + mu.tolist(), [1] * h0 + mult.tolist(),
+               list(geom.holonomy) + theta.tolist())
 
 
 def relative_heat_trace(geom: GlueGeometry, fiber: FiberSpectrum,
@@ -308,7 +305,7 @@ def relative_heat_trace(geom: GlueGeometry, fiber: FiberSpectrum,
     if t <= 0:
         raise ValueError("t must be positive")
     total: list[float] = []
-    for mu, mult, theta in _mode_phases(geom, fiber):
+    for mu, mult, theta in _mode_phases(geom, fiber, math.sqrt(745.0 / t)):
         term = (heat_trace_circle(geom.C, theta, mu, t)
                 - heat_trace_dirichlet(geom.L1, mu, t)
                 - heat_trace_dirichlet(geom.L2, mu, t))
@@ -332,7 +329,9 @@ def _log_abs_deviation(geom: GlueGeometry, fiber: FiberSpectrum,
     L1, L2, C = geom.L1, geom.L2, geom.C
     pref = math.log(2.0) - 0.5 * math.log(4.0 * math.pi * t)
     entries: list[tuple[float, float]] = []  # (log|term|, sign)
-    for mu, mult, theta in _mode_phases(geom, fiber):
+    # circle modes (mult 2) past this frequency start below the cut
+    mu_max = math.sqrt(max(1500.0 + math.log(2.0) + pref, 0.0) / t)
+    for mu, mult, theta in _mode_phases(geom, fiber, mu_max):
         base = -t * mu * mu + math.log(mult) + pref
         if base < -1500.0:
             break
@@ -480,17 +479,14 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
 
     z_fiber = fiber_zeta_data(fiber)
     # truncation of the cross-section integral past T
-    tail_y: list[float] = []
-    for idx, (mu, mult) in enumerate(fiber.nonzero_modes()):
-        v = mult * float(exp1(mu * mu * T))
-        tail_y.append(v)
-        if fiber.kind == "finite":
-            count = sum(1 for m, _ in fiber.modes if m > 0.0)
-            if idx + 1 >= count:
-                break
-        elif v < 1e-18:
-            break
-    tail_y_val = math.fsum(tail_y)
+    # a circle fiber's terms run through the first below 1e-18, which
+    # comes before mu^2 T = 50
+    mu, mult, _ = mode_table(geom, fiber,
+                             _modes_through(fiber, math.sqrt(50.0 / T)))
+    tail_y = mult * exp1(mu * mu * T)
+    if fiber.kind == "circle":
+        tail_y = tail_y[:int(np.argmax(tail_y < 1e-18)) + 1]
+    tail_y_val = math.fsum(tail_y.tolist())
 
     lengths = [geom.L1 ** 2, geom.L2 ** 2, geom.C ** 2 / 4.0]
     t_lo = min(min(lengths) / 69.0, 0.5 * T)

@@ -607,8 +607,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="zetaglue",
-        description="Determinant-gluing experiment runner (batch only). "
-                    "Thread count via ZETAGLUE_THREADS.",
+        description="Determinant-gluing experiment runner (batch only).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")

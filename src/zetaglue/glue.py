@@ -18,19 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 from scipy.integrate import quad
 
-from .base1d import (
-    Circle,
-    DirichletInterval,
-    ModeProblem,
-    dn_block,
-    logdet_circle_mode,
-    logdet_dirichlet_mode,
-)
+from .base1d import _OVERFLOW_ARG, Circle, DirichletInterval, ModeProblem, dn_block
 from .spectral_core import (
     FiberSpectrum,
     fiber_sqrt_zeta_at_minus_one,
@@ -45,6 +39,8 @@ __all__ = [
     "AssembledDeterminants",
     "RAssembly",
     "condition_A_check",
+    "mode_table",
+    "logdet_grid",
     "logdet_closed",
     "assemble_R",
     "bfk_ratio",
@@ -99,9 +95,6 @@ class GlueGeometry:
     def with_R(self, R: float) -> "GlueGeometry":
         return GlueGeometry(self.a1, self.a2, R, self.holonomy,
                             dict(self.nonzero_phases))
-
-    def nonzero_phase(self, index: int) -> float:
-        return float(self.nonzero_phases.get(index, 0.0))
 
 
 @dataclass(frozen=True)
@@ -164,8 +157,19 @@ class AssembledDeterminants:
     log_det_M2: float
     log_det_R: float
     h_Y: int
-    rows: tuple[ModeRow, ...]
     regularization: dict | None = None
+    # per-mode arrays (mu, mult, theta, then the four logs), zero modes first
+    mode_logs: tuple[np.ndarray, ...] = field(default=(), repr=False,
+                                              compare=False)
+
+    @cached_property
+    def rows(self) -> tuple[ModeRow, ...]:
+        """Per-mode breakdown, built on first access."""
+        mu, mult, theta, *logs = self.mode_logs
+        zeros = self.h_Y // 2
+        labels = ["zero"] * zeros + ["nonzero"] * (len(mu) - zeros)
+        return tuple(map(ModeRow, labels, mu.tolist(), theta.tolist(),
+                         mult.tolist(), *(col.tolist() for col in logs)))
 
     @property
     def log_ratio(self) -> float:
@@ -186,49 +190,160 @@ class RAssembly:
     log_det: float
 
 
-def _zero_mode_entries(geom: GlueGeometry):
-    """Per zero mode: (theta, logdet_M, logdet_M1, logdet_M2, logdet_R)."""
-    L1, L2, C = geom.L1, geom.L2, geom.C
-    out = []
-    for theta in geom.holonomy:
-        ld_m = logdet_circle_mode(C, theta, 0.0)
-        ld_1 = logdet_dirichlet_mode(L1, 0.0)
-        ld_2 = logdet_dirichlet_mode(L2, 0.0)
-        # block det (2 - 2 cos theta)/(L1 L2), in log form
-        ld_r = math.log(2.0 - 2.0 * math.cos(theta)) - math.log(L1 * L2)
-        out.append((theta, ld_m, ld_1, ld_2, ld_r))
-    return out
+def mode_table(geom: GlueGeometry, fiber: FiberSpectrum, n: int | None = None):
+    """(mu, mult, theta) arrays over the fiber's nonzero modes in spectral
+    order: a finite fiber's modes, or its first n; a circle fiber's first n.
+    theta comes from geom.nonzero_phases, 0 where none is set."""
+    if fiber.kind == "finite":
+        modes = [(m, k) for m, k in fiber.modes if m > 0.0][:n]
+        mu = np.array([m for m, _ in modes], dtype=float)
+        mult = np.array([k for _, k in modes], dtype=np.int64)
+    else:
+        mu = 2.0 * math.pi * np.arange(1, n + 1) / fiber.circumference
+        mult = np.full(n, 2)
+    theta = np.zeros(len(mu))
+    for idx, phase in geom.nonzero_phases.items():
+        if idx < len(mu):
+            theta[idx] = phase
+    return mu, mult, theta
 
 
-def _block_sum(geom: GlueGeometry, mu: float, theta: float) -> np.ndarray:
-    w2 = complex(math.cos(theta), math.sin(theta))
-    b1 = dn_block(geom.L1, mu, 1.0)
-    b2 = dn_block(geom.L2, mu, w2)
-    return b1.matrix + b2.matrix
+def _scan_circle(geom, fiber, evaluate, n: int, limit: int | None = None):
+    """Circle modes through the first where evaluate(mu, mult, theta) ->
+    (values, stop) stops, n modes a pass, n doubling up to limit.  Returns
+    (stopped, table, values), cut after that mode if one stopped."""
+    while True:
+        n = min(n, limit or n)
+        table = mode_table(geom, fiber, n)
+        values, stop = evaluate(*table)
+        if stop.any():
+            k = int(np.argmax(stop)) + 1
+            return True, tuple(a[:k] for a in table), tuple(v[:k] for v in values)
+        if n == limit:
+            return False, table, values
+        n *= 2
 
 
-def _nonzero_remainders(geom: GlueGeometry, mu: float, theta: float):
-    """Exponentially small remainders of the three subtracted logdets.
-
-    Returns (rem_M, rem_M1, rem_M2, rem_R) where
-      logdet_M  per mode = mu C  + rem_M
-      logdet_Mi per mode = mu Li - log mu + rem_Mi
-      logdet_R  per mode = log(4 mu^2) + rem_R
-    All evaluated in exponential form, no cancellation.
-    """
-    L1, L2, C = geom.L1, geom.L2, geom.C
-    e_c = math.exp(-mu * C) if mu * C < 745 else 0.0
-    e_1 = math.exp(-2.0 * mu * L1) if 2.0 * mu * L1 < 745 else 0.0
-    e_2 = math.exp(-2.0 * mu * L2) if 2.0 * mu * L2 < 745 else 0.0
-    rem_m = math.log1p(-2.0 * math.cos(theta) * e_c + e_c * e_c)
-    rem_1 = math.log1p(-e_1)
-    rem_2 = math.log1p(-e_2)
-    rem_r = rem_m - rem_1 - rem_2
-    return rem_m, rem_1, rem_2, rem_r
+def _csch_coth(x):
+    """csch x and coth x - 1 in decaying exponentials, finite at any x > 0."""
+    e, d = np.exp(-x), -np.expm1(-2.0 * x)
+    return 2.0 * e / d, 2.0 * e * e / d
 
 
-def _finite_nonzero_count(fiber: FiberSpectrum) -> int:
-    return sum(1 for m, _ in fiber.modes if m > 0.0)
+def _growth_remainders(x_c, x_1, x_2, cos_t):
+    """log(2 cosh x_c - 2 cos theta) - x_c and log(2 sinh x_i) - x_i."""
+    e_c = np.exp(-x_c)
+    return (np.log1p(-2.0 * cos_t * e_c + e_c * e_c),
+            np.log1p(-np.exp(-2.0 * x_1)), np.log1p(-np.exp(-2.0 * x_2)))
+
+
+def _block_remainder(x1, x2, cos_t):
+    """log(det B / 4 mu^2), B the sum of the two interval DN blocks.  Per
+    unit mu, diagonal minus off-diagonal is t = tanh(x/2), diagonal plus
+    off-diagonal 1/t and off-diagonal s = csch x, so det B / mu^2 =
+    (t1 + t2)(1/t1 + 1/t2) + 2 s1 s2 (1 - cos theta), and the first term is
+    4 + (t1 - t2)^2 / (t1 t2): no cancellation against the leading 4."""
+    t1, t2 = np.tanh(0.5 * x1), np.tanh(0.5 * x2)
+    (s1, _), (s2, _) = _csch_coth(x1), _csch_coth(x2)
+    return np.log1p(0.25 * ((t1 - t2) ** 2 / (t1 * t2)
+                            + 2.0 * s1 * s2 * (1.0 - cos_t)))
+
+
+def _nonzero_logs(mu, cos_t, L1, L2, C):
+    """base1d's closed forms over broadcast arrays, with its switch to the
+    remainder form past x = 30; each branch sees only its side's inputs."""
+    xs = (mu * C, mu * L1, mu * L2)
+    rems = _growth_remainders(*(np.maximum(x, _OVERFLOW_ARG) for x in xs), cos_t)
+    lo_c, lo_1, lo_2 = (np.minimum(x, _OVERFLOW_ARG) for x in xs)
+    direct = (np.log(2.0 * np.cosh(lo_c) - 2.0 * cos_t),
+              np.log(2.0 * np.sinh(lo_1) / mu), np.log(2.0 * np.sinh(lo_2) / mu))
+    growth = (xs[0], xs[1] - np.log(mu), xs[2] - np.log(mu))
+    return tuple(np.where(x > _OVERFLOW_ARG, g + r, d)
+                 for x, g, r, d in zip(xs, growth, rems, direct)) + (
+        np.log(4.0 * mu * mu) + _block_remainder(xs[1], xs[2], cos_t),)
+
+
+def _entry(R, totals, h_Y, regularization, mode_logs):
+    if not all(map(math.isfinite, totals)):
+        return ValueError(f"non-finite log-determinant at R={R:g}")
+    return AssembledDeterminants(*totals, h_Y, regularization, mode_logs)
+
+
+def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
+                tail_eps: float = 1e-16, max_modes: int | None = None) -> tuple:
+    """logdet_closed at each stretch in Rs, a1, a2 and phases from geom: one
+    modes x stretches pass for a finite fiber, one pass per stretch for a
+    circle fiber.  Per stretch, the AssembledDeterminants or the error that
+    stopped it (RuntimeError: no convergence; ValueError: non-finite)."""
+    condition_A_check(geom, fiber).raise_if_failed()
+    Rs = np.asarray(Rs, dtype=float)
+    if np.any(Rs <= 0):
+        raise ValueError("a1, a2, R must be positive")
+    L1, L2 = geom.a1 + 2.0 * Rs, geom.a2 + 2.0 * Rs
+    C = geom.a1 + geom.a2 + 4.0 * Rs
+    h_Y = 2 * fiber.h0
+    # zero modes: dets 2 - 2 cos theta, 2 L_i, (2 - 2 cos theta) / (L1 L2)
+    hol = np.array(geom.holonomy)
+    flat = np.log(2.0 - 2.0 * np.cos(hol))[:, None]
+    zero_logs = np.broadcast_arrays(flat, np.log(2.0 * L1), np.log(2.0 * L2),
+                                    flat - np.log(L1 * L2))
+    zero_modes = (np.zeros(len(hol)), np.ones(len(hol), dtype=np.int64), hol)
+
+    def with_zero_modes(table):
+        return tuple(map(np.concatenate, zip(zero_modes, table)))
+
+    if fiber.kind == "finite":
+        mu, mult, theta = mode_table(geom, fiber)
+        logs = _nonzero_logs(mu[:, None], np.cos(theta)[:, None], L1, L2, C)
+        full = [np.vstack(pair) for pair in zip(zero_logs, logs)]
+        table = with_zero_modes((mu, mult, theta))
+        # per stretch, the math.fsum of each mult-weighted column
+        weights = table[1][:, None]
+        totals = zip(*([math.fsum(at_R) for at_R in (weights * col).T.tolist()]
+                       for col in full))
+        return tuple(_entry(R, tot, h_Y, None,
+                            table + tuple(col[:, j] for col in full))
+                     for j, (R, tot) in enumerate(zip(Rs.tolist(), totals)))
+
+    # circle fibers: continued sums of the growth subtracted per mode, plus
+    # the remainders through the first mode where all three are small
+    sq = fiber_sqrt_zeta_data(fiber)
+    reg = {"sum_mu": fiber_sqrt_zeta_at_minus_one(fiber),
+           "mode_count": sq.zeta_at_zero, "sum_log_mu": -sq.zeta_prime_at_zero}
+    s_mu, s_cnt, s_log = reg.values()
+    limit = max_modes or 100_000
+    entries = []
+    for j, (R, l1, l2, c) in enumerate(zip(Rs.tolist(), L1.tolist(),
+                                           L2.tolist(), C.tolist())):
+        scale = 1.0 + abs(c * s_mu)
+
+        def remainders(mu, mult, theta):
+            cos_t = np.cos(theta)
+            rems = (*_growth_remainders(mu * c, mu * l1, mu * l2, cos_t),
+                    _block_remainder(mu * l1, mu * l2, cos_t))
+            largest = np.max(np.abs(rems[:3]), axis=0)
+            return rems + (largest,), largest < tail_eps * scale
+
+        # the largest remainder is about 2 exp(-mu min(C, 2 L1, 2 L2))
+        reach = (max(math.log(3.0 / (tail_eps * scale)), 0.0)
+                 / min(c, 2.0 * l1, 2.0 * l2))
+        stopped, table, rems = _scan_circle(
+            geom, fiber, remainders,
+            int(reach * fiber.circumference / (2.0 * math.pi)) + 2, limit)
+        if not stopped:
+            entries.append(RuntimeError(
+                f"fiber regularization did not converge within {limit} "
+                f"modes (last remainder {rems[-1][-1]:.3e})"))
+            continue
+        table = with_zero_modes(table)
+        heads = (c * s_mu, l1 * s_mu - s_log, l2 * s_mu - s_log,
+                 2.0 * math.log(2.0) * s_cnt + 2.0 * s_log)
+        columns = [np.concatenate([z[:, j], r])
+                   for z, r in zip(zero_logs, rems[:4])]
+        totals = [math.fsum([head] + (table[1] * col).tolist())
+                  for head, col in zip(heads, columns)]
+        entries.append(_entry(R, totals, h_Y, dict(reg), table + tuple(columns)))
+    return tuple(entries)
 
 
 def logdet_closed(geom: GlueGeometry, fiber: FiberSpectrum,
@@ -242,87 +357,10 @@ def logdet_closed(geom: GlueGeometry, fiber: FiberSpectrum,
     once below tail_eps.  Raises on a condition violation, and reports the
     cutoff when the remainder series fails to fall below tail_eps.
     """
-    condition_A_check(geom, fiber).raise_if_failed()
-    L1, L2, C = geom.L1, geom.L2, geom.C
-    h_Y = 2 * fiber.h0
-
-    rows: list[ModeRow] = []
-    tot_m: list[float] = []
-    tot_1: list[float] = []
-    tot_2: list[float] = []
-    tot_r: list[float] = []
-
-    for theta, ld_m, ld_1, ld_2, ld_r in _zero_mode_entries(geom):
-        rows.append(ModeRow("zero", 0.0, theta, 1, ld_m, ld_1, ld_2, ld_r))
-        tot_m.append(ld_m)
-        tot_1.append(ld_1)
-        tot_2.append(ld_2)
-        tot_r.append(ld_r)
-
-    regularization = None
-    if fiber.kind == "finite":
-        for idx in range(_finite_nonzero_count(fiber)):
-            mu, mult = _nth_nonzero(fiber, idx)
-            theta = geom.nonzero_phase(idx)
-            ld_m = logdet_circle_mode(C, theta, mu)
-            ld_1 = logdet_dirichlet_mode(L1, mu)
-            ld_2 = logdet_dirichlet_mode(L2, mu)
-            blk = _block_sum(geom, mu, theta)
-            ld_r = math.log(float(np.linalg.det(blk).real))
-            rows.append(ModeRow("nonzero", mu, theta, mult,
-                                ld_m, ld_1, ld_2, ld_r))
-            tot_m.append(mult * ld_m)
-            tot_1.append(mult * ld_1)
-            tot_2.append(mult * ld_2)
-            tot_r.append(mult * ld_r)
-    else:
-        sq = fiber_sqrt_zeta_data(fiber)
-        s_mu = fiber_sqrt_zeta_at_minus_one(fiber)   # continued sum of mu_k
-        s_cnt = sq.zeta_at_zero                      # continued mode count
-        s_log = -sq.zeta_prime_at_zero               # continued sum of log mu_k
-        regularization = {
-            "sum_mu": s_mu, "mode_count": s_cnt, "sum_log_mu": s_log,
-        }
-        tot_m.append(C * s_mu)
-        tot_1.append(L1 * s_mu - s_log)
-        tot_2.append(L2 * s_mu - s_log)
-        tot_r.append(2.0 * math.log(2.0) * s_cnt + 2.0 * s_log)
-        scale = 1.0 + abs(C * s_mu)
-        limit = max_modes or 100_000
-        converged = False
-        for idx, (mu, mult) in enumerate(fiber.nonzero_modes()):
-            theta = geom.nonzero_phase(idx)
-            rem_m, rem_1, rem_2, rem_r = _nonzero_remainders(geom, mu, theta)
-            rows.append(ModeRow("nonzero", mu, theta, mult,
-                                rem_m, rem_1, rem_2, rem_r))
-            tot_m.append(mult * rem_m)
-            tot_1.append(mult * rem_1)
-            tot_2.append(mult * rem_2)
-            tot_r.append(mult * rem_r)
-            largest = max(abs(rem_m), abs(rem_1), abs(rem_2))
-            if largest < tail_eps * scale:
-                converged = True
-                break
-            if idx + 1 >= limit:
-                raise RuntimeError(
-                    f"fiber regularization did not converge within {limit} "
-                    f"modes (last remainder {largest:.3e})"
-                )
-        assert converged
-
-    log_m = math.fsum(tot_m)
-    log_1 = math.fsum(tot_1)
-    log_2 = math.fsum(tot_2)
-    log_r = math.fsum(tot_r)
-    return AssembledDeterminants(log_m, log_1, log_2, log_r, h_Y,
-                                 tuple(rows), regularization)
-
-
-def _nth_nonzero(fiber: FiberSpectrum, idx: int) -> tuple[float, int]:
-    for i, pair in enumerate(fiber.nonzero_modes()):
-        if i == idx:
-            return pair
-    raise IndexError(idx)
+    (entry,) = logdet_grid(geom, fiber, (geom.R,), tail_eps, max_modes)
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def assemble_R(geom: GlueGeometry, fiber: FiberSpectrum,
@@ -331,25 +369,29 @@ def assemble_R(geom: GlueGeometry, fiber: FiberSpectrum,
 
     Zero-mode blocks carry the holonomy gauge (phase on the second piece);
     a trivial phase there would make the block singular, which is exactly
-    the condition failure, so it is rejected up front.
+    the condition failure, so it is rejected up front.  A circle fiber lists
+    its first 33 nonzero blocks; the log det is assembled over all modes.
     """
-    condition_A_check(geom, fiber).raise_if_failed()
     asm = logdet_closed(geom, fiber, tail_eps=tail_eps)
-    blocks: list[tuple[str, float, int, np.ndarray]] = []
-    for j, theta in enumerate(geom.holonomy):
-        blocks.append((f"zero:{j}", 0.0, 1, _block_sum(geom, 0.0, theta)))
-    if fiber.kind == "finite":
-        for idx in range(_finite_nonzero_count(fiber)):
-            mu, mult = _nth_nonzero(fiber, idx)
-            blocks.append((f"nonzero:{idx}", mu, mult,
-                           _block_sum(geom, mu, geom.nonzero_phase(idx))))
-    else:
-        for idx, (mu, mult) in enumerate(fiber.nonzero_modes()):
-            blocks.append((f"nonzero:{idx}", mu, mult,
-                           _block_sum(geom, mu, geom.nonzero_phase(idx))))
-            if idx >= 32:  # representative window; log det is already assembled
-                break
-    return RAssembly(blocks=tuple(blocks), log_det=asm.log_det_R)
+    mu, mult, theta = mode_table(geom, fiber,
+                                 None if fiber.kind == "finite" else 33)
+    h0 = len(geom.holonomy)
+    # per interval, diagonal and off-diagonal: 1/L at mu = 0, else
+    # mu coth(mu L) and mu csch(mu L)
+    diag, off = [], []
+    for L in (geom.L1, geom.L2):
+        s, c = _csch_coth(mu * L)
+        diag.append(np.concatenate([np.full(h0, 1.0 / L), mu * (1.0 + c)]))
+        off.append(np.concatenate([np.full(h0, 1.0 / L), mu * s]))
+    w = np.exp(1j * np.concatenate([geom.holonomy, theta]))
+    blocks = np.empty((len(w), 2, 2), dtype=complex)
+    blocks[:, 0, 0] = blocks[:, 1, 1] = diag[0] + diag[1]
+    blocks[:, 0, 1] = -off[0] - off[1] * w.conj()
+    blocks[:, 1, 0] = -off[0] - off[1] * w
+    labels = ([f"zero:{j}" for j in range(h0)]
+              + [f"nonzero:{i}" for i in range(len(mu))])
+    return RAssembly(tuple(zip(labels, [0.0] * h0 + mu.tolist(),
+                               [1] * h0 + mult.tolist(), blocks)), asm.log_det_R)
 
 
 def bfk_ratio(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
@@ -365,31 +407,24 @@ def trace_perp_inverse_diff(geom: GlueGeometry, fiber: FiberSpectrum,
     Per mode the 2x2 block sum B satisfies tr B^{-1} - 1/mu =
     2 mu (s1 s2 cos(theta) - c1 c2)/det B with c_i = coth(mu L_i) - 1 and
     s_i = csch(mu L_i); everything is evaluated in decaying exponentials.
+    A circle fiber's series stops after the first mode past the second
+    whose term falls below tail_eps.
     """
-    total: list[float] = []
-    for idx, (mu, mult) in enumerate(fiber.nonzero_modes()):
-        theta = geom.nonzero_phase(idx)
-        d = _inverse_trace_diff_mode(geom, mu, theta)
-        total.append(mult * d)
-        if fiber.kind == "finite":
-            if idx + 1 >= _finite_nonzero_count(fiber):
-                break
-        elif abs(d) < tail_eps and idx > 1:
-            break
-    return math.fsum(total)
+    def terms(mu, mult, theta):
+        (s1, c1), (s2, c2) = _csch_coth(mu * geom.L1), _csch_coth(mu * geom.L2)
+        cos_t = np.cos(theta)
+        det_over_mu2 = (2.0 + c1 + c2) ** 2 - (s1 * s1 + s2 * s2
+                                               + 2.0 * s1 * s2 * cos_t)
+        d = 2.0 * (s1 * s2 * cos_t - c1 * c2) / (mu * det_over_mu2)
+        return (mult * d,), (np.abs(d) < tail_eps) & (np.arange(len(d)) > 1)
 
-
-def _inverse_trace_diff_mode(geom: GlueGeometry, mu: float, theta: float) -> float:
-    x1, x2 = mu * geom.L1, mu * geom.L2
-    c1 = 2.0 / math.expm1(2.0 * x1) if 2.0 * x1 < 745 else 0.0
-    c2 = 2.0 / math.expm1(2.0 * x2) if 2.0 * x2 < 745 else 0.0
-    e1 = math.exp(-x1) if x1 < 745 else 0.0
-    e2 = math.exp(-x2) if x2 < 745 else 0.0
-    s1 = 2.0 * e1 / (1.0 - e1 * e1)
-    s2 = 2.0 * e2 / (1.0 - e2 * e2)
-    det_over_mu2 = (2.0 + c1 + c2) ** 2 - (s1 * s1 + s2 * s2
-                                           + 2.0 * s1 * s2 * math.cos(theta))
-    return 2.0 * (s1 * s2 * math.cos(theta) - c1 * c2) / (mu * det_over_mu2)
+    if fiber.kind == "finite":
+        (total,), _ = terms(*mode_table(geom, fiber))
+    else:  # a term is about exp(-mu C) / mu
+        reach = max(math.log(1.0 / (tail_eps * fiber.min_nonzero)), 0.0) / geom.C
+        n = int(reach * fiber.circumference / (2.0 * math.pi)) + 3
+        _, _, (total,) = _scan_circle(geom, fiber, terms, n)
+    return math.fsum(total.tolist())
 
 
 @dataclass(frozen=True)
@@ -429,8 +464,9 @@ def heat_route_crosscheck(geom: GlueGeometry, fiber: FiberSpectrum,
         if theta == 0.0:
             raise ConditionAViolation("selected mode has a kernel")
     else:
-        mu, _ = _nth_nonzero_any(fiber, mode_index - fiber.h0)
-        theta = geom.nonzero_phase(mode_index - fiber.h0)
+        k = mode_index - fiber.h0
+        mus, _, thetas = mode_table(geom, fiber, k + 1)
+        mu, theta = float(mus[k]), float(thetas[k])
     problems = (
         ("closed", ModeProblem(mu, Circle(geom.C, theta))),
         ("piece1", ModeProblem(mu, DirichletInterval(geom.L1))),
@@ -442,13 +478,6 @@ def heat_route_crosscheck(geom: GlueGeometry, fiber: FiberSpectrum,
         b = _inverse_trace_heat(prob)
         entries.append(CrosscheckEntry(name, a, b))
     return CrosscheckReport(tuple(entries), tol)
-
-
-def _nth_nonzero_any(fiber: FiberSpectrum, idx: int) -> tuple[float, int]:
-    for i, pair in enumerate(fiber.nonzero_modes()):
-        if i == idx:
-            return pair
-    raise IndexError(idx)
 
 
 def _inverse_trace_eigen(problem: ModeProblem, cutoff: int = 20_000) -> float:

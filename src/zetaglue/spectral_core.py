@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -484,18 +484,6 @@ class FiberSpectrum:
         if self.kind == "circle":
             return 1
         return sum(k for m, k in self.modes if m == 0.0)
-
-    def nonzero_modes(self) -> Iterator[tuple[float, int]]:
-        """Yield (mu, mult) over nonzero modes; infinite for the circle."""
-        if self.kind == "finite":
-            for m, k in self.modes:
-                if m > 0.0:
-                    yield m, k
-            return
-        k = 1
-        while True:
-            yield 2.0 * math.pi * k / self.circumference, 2
-            k += 1
 
     @property
     def min_nonzero(self) -> float:

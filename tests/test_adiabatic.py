@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,14 @@ from zetaglue.adiabatic import (
     verify_theorem_main,
     _log_abs_deviation,
 )
-from zetaglue.glue import GlueGeometry
-from zetaglue.spectral_core import FiberSpectrum
+from zetaglue.base1d import dn_block, logdet_circle_mode, logdet_dirichlet_mode
+from zetaglue.glue import (
+    ConditionAViolation,
+    GlueGeometry,
+    logdet_closed,
+    logdet_grid,
+)
+from zetaglue.spectral_core import FiberSpectrum, fiber_sqrt_zeta_at_minus_one
 
 
 class TestSweep:
@@ -48,10 +55,99 @@ class TestSweep:
             plain = math.exp(r.log_det_M - r.log_det_M1 - r.log_det_M2)
             assert abs(r.scaled_ratio - plain) < 1e-15
 
-    def test_threaded_matches_serial(self, std_fiber, std_geom):
-        a = sweep(std_geom(), std_fiber, threads=1)
-        b = sweep(std_geom(), std_fiber, threads=4)
-        assert a.rows == b.rows
+
+# Vectorized rows against the scalar closed forms of base1d, mode by mode.
+# Frequencies put mu C and mu L_i on both sides of the x = 30 switch across
+# the grid; three zero modes, multiplicities up to 3, two nonzero phases.
+WIDE_FIBER = FiberSpectrum.finite([(0.0, 3), (0.3, 1), (1.0, 2), (1.5, 3),
+                                   (2.5, 1), (3.7, 2), (9.0, 1)])
+WIDE_GEOM = GlueGeometry(1.0, 2.0, 2.0, holonomy=(0.4, 2.0, 5.5),
+                         nonzero_phases={1: 0.7, 3: 2.0})
+WIDE_GRID = (2.0, 3.0, 4.0, 8.0, 16.0)
+
+
+def _reference_logs(g, mu, theta):
+    """Scalar per-mode log-determinants (M, M1, M2, R) from base1d."""
+    w = complex(math.cos(theta), math.sin(theta))
+    block = dn_block(g.L1, mu).matrix + dn_block(g.L2, mu, w).matrix
+    return (logdet_circle_mode(g.C, theta, mu),
+            logdet_dirichlet_mode(g.L1, mu), logdet_dirichlet_mode(g.L2, mu),
+            math.log(float(np.linalg.det(block).real)))
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+class TestVectorizedRows:
+    def test_finite_rows_match_scalar_closed_forms(self):
+        entries = logdet_grid(WIDE_GEOM, WIDE_FIBER, WIDE_GRID)
+        for R, asm in zip(WIDE_GRID, entries):
+            g = WIDE_GEOM.with_R(R)
+            assert [r.label for r in asm.rows] == ["zero"] * 3 + ["nonzero"] * 6
+            assert [r.theta for r in asm.rows] == [0.4, 2.0, 5.5,
+                                                   0.0, 0.7, 0.0, 2.0, 0.0, 0.0]
+            for row in asm.rows:
+                ref = _reference_logs(g, row.mu, row.theta)
+                got = (row.log_det_M, row.log_det_M1, row.log_det_M2,
+                       row.log_det_R)
+                assert all(_close(a, b) for a, b in zip(got, ref)), (R, row)
+            total = math.fsum(r.mult * _reference_logs(g, r.mu, r.theta)[3]
+                              for r in asm.rows)
+            assert _close(asm.log_det_R, total)
+
+    def test_switch_is_straddled(self):
+        for length in ("C", "L1", "L2"):
+            xs = [mu * getattr(WIDE_GEOM.with_R(R), length) for R in WIDE_GRID
+                  for mu, _ in WIDE_FIBER.modes if mu > 0.0]
+            assert min(xs) < 30.0 < max(xs)
+
+    def test_logdet_closed_is_the_sweep_row(self):
+        res = sweep(WIDE_GEOM, WIDE_FIBER, WIDE_GRID)
+        for row in res.rows:
+            asm = logdet_closed(WIDE_GEOM.with_R(row.R), WIDE_FIBER)
+            assert (row.log_det_M, row.log_det_M1, row.log_det_M2,
+                    row.log_det_R) == (asm.log_det_M, asm.log_det_M1,
+                                       asm.log_det_M2, asm.log_det_R)
+
+    @pytest.mark.parametrize("circumference", [2 * math.pi, 37.0])
+    def test_circle_rows_match_scalar_closed_forms(self, circumference):
+        fib = FiberSpectrum.circle(circumference)
+        g0 = GlueGeometry(1.0, 2.0, 1.0, holonomy=(math.pi / 2,),
+                          nonzero_phases={0: 1.0, 2: 3.0})
+        Rs = (0.5, 1.0, 4.0, 16.0)
+        for row in sweep(g0, fib, Rs).rows:
+            g = g0.with_R(row.R)
+            asm = logdet_closed(g, fib)
+            assert (row.log_det_M, row.log_det_M1, row.log_det_M2,
+                    row.log_det_R) == (asm.log_det_M, asm.log_det_M1,
+                                       asm.log_det_M2, asm.log_det_R)
+            nonzero = [r for r in asm.rows if r.label == "nonzero"]
+            assert len(nonzero) == _old_circle_mode_count(g, fib)
+            for r in nonzero:
+                # rows hold remainders past the subtracted growth
+                growth = (r.mu * g.C, r.mu * g.L1 - math.log(r.mu),
+                          r.mu * g.L2 - math.log(r.mu), math.log(4 * r.mu ** 2))
+                ref = _reference_logs(g, r.mu, r.theta)
+                got = (r.log_det_M, r.log_det_M1, r.log_det_M2, r.log_det_R)
+                assert all(_close(gr + v, b) for gr, v, b in zip(growth, got, ref))
+
+
+def _old_circle_mode_count(g, fib, tail_eps=1e-16):
+    """Modes summed by the scalar stopping rule: through the first whose
+    three remainders all fall below tail_eps relative to the leading term."""
+    scale = 1.0 + abs(g.C * fiber_sqrt_zeta_at_minus_one(fib))
+    k = 0
+    while True:
+        k += 1
+        mu = 2.0 * math.pi * k / fib.circumference
+        theta = g.nonzero_phases.get(k - 1, 0.0)
+        e_c = math.exp(-mu * g.C)
+        rems = (math.log1p(-2.0 * math.cos(theta) * e_c + e_c * e_c),
+                math.log1p(-math.exp(-2.0 * mu * g.L1)),
+                math.log1p(-math.exp(-2.0 * mu * g.L2)))
+        if max(map(abs, rems)) < tail_eps * scale:
+            return k
 
 
 class TestExtrapolate:
@@ -257,7 +353,31 @@ def test_sweep_row_failure_is_marked():
 
     fib = FiberSpectrum.finite([(0.0, 1)])
     bad = GlueGeometry(1.0, 2.0, 4.0, holonomy=(0.0,))
-    row = _sweep_row(bad, fib, 2)
+    with pytest.raises(ConditionAViolation) as raised:
+        logdet_closed(bad, fib)
+    row = _sweep_row(bad.R, raised.value, 2)
     assert row.failed
     assert "zero mode" in row.error
     assert math.isnan(row.scaled_ratio)
+
+
+def test_bfk_fails_when_rows_fail():
+    # 601 nonzero modes: exp(log det R) overflows on every row
+    wide = FiberSpectrum.finite([(0.0, 1)]
+                                + [(0.5 + 0.005 * k, 1) for k in range(601)])
+    g = GlueGeometry(1.0, 2.0, 1.0, holonomy=(math.pi / 2,))
+    grid = (2.0, 4.0, 8.0, 16.0, 32.0)
+    check = verify_bfk_corollary(sweep(g, wide, grid))
+    assert not check.passed
+    assert check.per_row == ()
+    assert check.failed_rows == tuple((R, "math range error") for R in grid)
+
+
+def test_bfk_fails_on_one_failed_row(std_fiber, std_geom):
+    res = sweep(std_geom(), std_fiber)
+    assert verify_bfk_corollary(res).passed
+    broken = res.rows[:2] + (dataclasses.replace(
+        res.rows[2], failed=True, error="boom"),) + res.rows[3:]
+    check = verify_bfk_corollary(dataclasses.replace(res, rows=broken))
+    assert not check.passed
+    assert check.failed_rows == ((res.rows[2].R, "boom"),)

@@ -179,3 +179,14 @@ class TestRun:
         xy = (tmp_path / "out" / "bfk_bfk_vs_R.xy").read_text().splitlines()
         assert xy[0].startswith("# zetaglue-artifact")
         assert len(xy[3].split()) == 2
+
+
+def test_trace_perp_circle_fiber_runs(tmp_path):
+    # modes with 2 mu L_i between 709.78 and 745 overflow math.expm1(2 mu L_i)
+    cfg = {"experiment": "trace-perp",
+           "fiber": {"type": "circle", "circumference": 1.0},
+           "geometry": {"a1": 1.0, "a2": 2.0, "holonomy": [math.pi / 2]},
+           "out_dir": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is True
