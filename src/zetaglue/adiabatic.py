@@ -211,11 +211,17 @@ def predicted_dn_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
     return value * _det_half_complement(geom, fiber)
 
 
-def predicted_bfk_constant(fiber: FiberSpectrum) -> float:
-    """2^{-zeta(0) - h} over the doubled cross-section."""
+def _bfk_exponent(fiber: FiberSpectrum) -> float:
+    """-zeta(0) - h over the doubled cross-section, the base-2 log of the
+    gluing constant; finite where the constant underflows (past 2^-1074)."""
     z = fiber_zeta_data(fiber)
     h_Y = 2 * fiber.h0
-    return 2.0 ** (-2.0 * z.zeta_at_zero - h_Y)
+    return -2.0 * z.zeta_at_zero - h_Y
+
+
+def predicted_bfk_constant(fiber: FiberSpectrum) -> float:
+    """2^{-zeta(0) - h} over the doubled cross-section."""
+    return 2.0 ** _bfk_exponent(fiber)
 
 
 def consistency_triangle_gap(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
@@ -259,23 +265,37 @@ def verify_theorem_dn(result: SweepResult, tol: float = 1e-4) -> TheoremCheck:
 
 @dataclass(frozen=True)
 class BfkCheck:
-    predicted: float
+    predicted: float             # underflows to 0.0 past 2^-1074
+    log_predicted: float
     max_rel_dev: float
     passed: bool
-    per_row: tuple[float, ...]
+    per_row: tuple[float, ...]   # bfk ratios of the rows that did not fail
+    rel_devs: tuple[float, ...]  # per sweep row, nan where the row failed
     failed_rows: tuple[tuple[float, str], ...] = ()   # (R, error) per failed row
 
 
 def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck:
     """The gluing constant holds per row, with no extrapolation; fails when
-    any row failed or when no row is left to check."""
-    predicted = predicted_bfk_constant(result.fiber)
+    any row failed or when no row is left to check.
+
+    Each row's relative deviation is |expm1(log ratio - log constant)|, the
+    log ratio being log det M - log det M1 - log det M2 - log det R, so the
+    check never divides by a constant that underflowed.
+    """
+    exponent = _bfk_exponent(result.fiber)
+    log_predicted = exponent * math.log(2.0)
+    rel_devs = tuple(abs(math.expm1((r.log_det_M - r.log_det_M1 - r.log_det_M2
+                                     - r.log_det_R) - log_predicted))
+                     for r in result.rows)
+    worst = max((d for d, r in zip(rel_devs, result.rows) if not r.failed),
+                default=0.0)
     ratios = result.column("bfk_ratio")
-    devs = tuple(abs(r / predicted - 1.0) for r in ratios)
-    worst = max(devs, default=0.0)
     failed = tuple((r.R, r.error) for r in result.rows if r.failed)
     passed = bool(ratios) and not failed and worst <= rel_tol
-    return BfkCheck(predicted, worst, passed, ratios, failed)
+    return BfkCheck(predicted=2.0 ** exponent,
+                    log_predicted=log_predicted, max_rel_dev=worst,
+                    passed=passed, per_row=ratios, rel_devs=rel_devs,
+                    failed_rows=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +310,129 @@ def _modes_through(fiber: FiberSpectrum, mu_max: float) -> int | None:
     return int(mu_max * fiber.circumference / (2.0 * math.pi)) + 2
 
 
-def _mode_phases(geom: GlueGeometry, fiber: FiberSpectrum, mu_max: float):
-    """(mu, mult, theta) over all fiber modes, zero modes first; a circle
-    fiber's modes run through the first one past mu_max."""
-    mu, mult, theta = mode_table(geom, fiber, _modes_through(fiber, mu_max))
-    h0 = len(geom.holonomy)
-    return zip([0.0] * h0 + mu.tolist(), [1] * h0 + mult.tolist(),
-               list(geom.holonomy) + theta.tolist())
+# exp(-x) underflows past this: modes with t mu^2 beyond it drop out of the
+# relative trace
+_EXP_CUT = 745.0
+# log-weights below this are dropped from the image-term deviation
+_LOG_CUT = -1500.0
+
+
+def _image_pref(t: float) -> float:
+    """log(2 / sqrt(4 pi t)), the prefactor of every image term."""
+    return math.log(2.0) - 0.5 * math.log(4.0 * math.pi * t)
+
+
+class _TwistGroups:
+    """The fiber modes, zero modes included, grouped by twist theta.
+
+    Each per-mode 1-D heat trace factors exactly as K(theta, mu, t) =
+    e^{-t mu^2} K(theta, 0, t), in the direct and in the image branch, so a
+    mode sum is one mu = 0 trace per distinct twist times the Gaussian
+    weight W_theta(t) = sum mult e^{-t mu^2} over that twist's modes.  The
+    twists are the zero-mode holonomies, the nonzero_phases and 0.  The
+    table is built once for the smallest t a caller asks for: a circle
+    fiber's table runs through the last mode either cut keeps there, and
+    both cuts keep fewer modes at larger t.  Only the stretch-free parts of
+    the geometry are read, so one table serves every stretch.
+    """
+
+    def __init__(self, geom: GlueGeometry, fiber: FiberSpectrum, t_min: float):
+        if t_min <= 0:
+            raise ValueError("t must be positive")
+        # circle modes (mult 2) past this frequency fall below both cuts
+        mu_max = math.sqrt(max(_EXP_CUT, -_LOG_CUT + math.log(2.0)
+                               + _image_pref(t_min)) / t_min)
+        mu, mult, theta = mode_table(geom, fiber, _modes_through(fiber, mu_max))
+        h0 = len(geom.holonomy)
+        # table order: zero modes first, then spectral order; mu^2 ascends
+        self.t_min = t_min
+        self.mu2 = np.concatenate([np.zeros(h0), mu * mu])
+        mult = np.concatenate([np.ones(h0), mult])
+        self.log_mult = np.log(mult)
+        self.max_log_mult = float(self.log_mult.max(initial=0.0))
+        theta = np.concatenate([np.array(geom.holonomy, dtype=float), theta])
+        self.groups = []   # (theta, table indices, mu^2, mult, log mult)
+        for th in np.unique(theta):
+            idx = np.flatnonzero(theta == th)
+            self.groups.append((float(th), idx, self.mu2[idx], mult[idx],
+                                self.log_mult[idx]))
+
+    def _check(self, t: float) -> None:
+        if t < self.t_min:
+            raise ValueError(f"t = {t!r} is below the table's t_min = "
+                             f"{self.t_min!r}")
+
+    def relative_trace(self, geom: GlueGeometry, t: float) -> float:
+        """sum over twists of W_theta(t) (K_C(theta) - K_L1 - K_L2), each
+        weight cut at t mu^2 <= 745."""
+        self._check(t)
+        k_1 = heat_trace_dirichlet(geom.L1, 0.0, t)
+        k_2 = heat_trace_dirichlet(geom.L2, 0.0, t)
+        terms = []
+        for theta, _, mu2, mult, _ in self.groups:
+            n = int(np.searchsorted(mu2, _EXP_CUT / t, side="right"))
+            if n:
+                weight = float(mult[:n] @ np.exp(-t * mu2[:n]))
+                terms.append(weight * (heat_trace_circle(geom.C, theta, 0.0, t)
+                                       - k_1 - k_2))
+        return math.fsum(terms)
+
+    def log_abs_deviation(self, geom: GlueGeometry,
+                          t: float) -> tuple[float, float]:
+        """(log|deviation|, sign) of relative minus half cross-section
+        trace, in image-term form; see _log_abs_deviation."""
+        self._check(t)
+        L1, L2, C = geom.L1, geom.L2, geom.C
+        pref = _image_pref(t)
+        # modes in table order before the first whose base is below the cut;
+        # every mode from `hi` on is below it by at least 1
+        hi = int(np.searchsorted(
+            self.mu2, (pref + self.max_log_mult - _LOG_CUT + 1.0) / t,
+            side="right"))
+        below = self.log_mult[:hi] - t * self.mu2[:hi] + pref < _LOG_CUT
+        end = int(np.argmax(below)) if below.any() else hi
+        entries: list[tuple[float, float]] = []  # (log|term|, sign)
+        for theta, idx, mu2, _, log_mult in self.groups:
+            n = int(np.searchsorted(idx, end))
+            if not n:
+                continue
+            logs = log_mult[:n] - t * mu2[:n]
+            top = float(logs.max())
+            base = pref + top + math.log(float(np.exp(logs - top).sum()))
+            m = 1
+            while True:
+                ex_c = m * m * C * C / (4.0 * t)
+                ex_1 = m * m * L1 * L1 / t
+                ex_2 = m * m * L2 * L2 / t
+                if min(ex_c, ex_1, ex_2) > -_LOG_CUT - base + 40.0 and m > 1:
+                    break
+                cosv = math.cos(m * theta)
+                if cosv != 0.0:
+                    entries.append((base + math.log(C * abs(cosv)) - ex_c,
+                                    math.copysign(1.0, cosv)))
+                entries.append((base + math.log(L1) - ex_1, -1.0))
+                entries.append((base + math.log(L2) - ex_2, -1.0))
+                m += 1
+                if m > 64:
+                    break
+        if not entries:
+            return -math.inf, 1.0
+        top = max(lg for lg, _ in entries)
+        acc = math.fsum(sgn * math.exp(lg - top) for lg, sgn in entries)
+        if acc == 0.0:
+            return top + math.log(1e-18), 1.0
+        return top + math.log(abs(acc)), math.copysign(1.0, acc)
 
 
 def relative_heat_trace(geom: GlueGeometry, fiber: FiberSpectrum,
                         t: float) -> float:
-    """Tr of the glued heat operator minus both cut pieces, by mode sums."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    total: list[float] = []
-    for mu, mult, theta in _mode_phases(geom, fiber, math.sqrt(745.0 / t)):
-        term = (heat_trace_circle(geom.C, theta, mu, t)
-                - heat_trace_dirichlet(geom.L1, mu, t)
-                - heat_trace_dirichlet(geom.L2, mu, t))
-        total.append(mult * term)
-        if fiber.kind == "circle" and mu > 0.0 and t * mu * mu > 745.0:
-            break
-    return math.fsum(total)
+    """Tr of the glued heat operator minus both cut pieces, by mode sums.
+
+    The mode sum is factored by twist (see _TwistGroups): one mu = 0 circle
+    trace per distinct twist and one pair of interval traces, weighted by
+    W_theta(t) = sum mult e^{-t mu^2} over the modes with t mu^2 <= 745.
+    """
+    return _TwistGroups(geom, fiber, t).relative_trace(geom, t)
 
 
 def half_fiber_heat_trace(fiber: FiberSpectrum, t: float) -> float:
@@ -325,39 +445,16 @@ def half_fiber_heat_trace(fiber: FiberSpectrum, t: float) -> float:
 def _log_abs_deviation(geom: GlueGeometry, fiber: FiberSpectrum,
                        t: float) -> tuple[float, float]:
     """(log|deviation|, sign): image-term form of relative trace minus the
-    half cross-section trace, safe far below float underflow."""
-    L1, L2, C = geom.L1, geom.L2, geom.C
-    pref = math.log(2.0) - 0.5 * math.log(4.0 * math.pi * t)
-    entries: list[tuple[float, float]] = []  # (log|term|, sign)
-    # circle modes (mult 2) past this frequency start below the cut
-    mu_max = math.sqrt(max(1500.0 + math.log(2.0) + pref, 0.0) / t)
-    for mu, mult, theta in _mode_phases(geom, fiber, mu_max):
-        base = -t * mu * mu + math.log(mult) + pref
-        if base < -1500.0:
-            break
-        m = 1
-        while True:
-            ex_c = m * m * C * C / (4.0 * t)
-            ex_1 = m * m * L1 * L1 / t
-            ex_2 = m * m * L2 * L2 / t
-            if min(ex_c, ex_1, ex_2) > 1500.0 - base + 40.0 and m > 1:
-                break
-            cosv = math.cos(m * theta)
-            if cosv != 0.0:
-                entries.append((base + math.log(C * abs(cosv)) - ex_c,
-                                math.copysign(1.0, cosv)))
-            entries.append((base + math.log(L1) - ex_1, -1.0))
-            entries.append((base + math.log(L2) - ex_2, -1.0))
-            m += 1
-            if m > 64:
-                break
-    if not entries:
-        return -math.inf, 1.0
-    top = max(lg for lg, _ in entries)
-    acc = math.fsum(sgn * math.exp(lg - top) for lg, sgn in entries)
-    if acc == 0.0:
-        return top + math.log(1e-18), 1.0
-    return top + math.log(abs(acc)), math.copysign(1.0, acc)
+    half cross-section trace, safe far below float underflow.
+
+    Per twist group the log-weight base = log(2 W_theta(t) / sqrt(4 pi t))
+    is a log-sum-exp over the group's modes, taken in table order up to the
+    first mode whose own base falls below -1500; the image orders m then
+    run once per group, up to 64, until every image exponent exceeds
+    1540 - base.  All entries go into one signed fsum; an exact zero reads
+    as 1e-18 of the largest entry.
+    """
+    return _TwistGroups(geom, fiber, t).log_abs_deviation(geom, t)
 
 
 @dataclass(frozen=True)
@@ -385,12 +482,13 @@ def verify_lemma_cancellation(geom_template: GlueGeometry,
     rest of the grid within a factor of two.
     """
     Rs = sorted(float(R) for R in Rs)
+    groups = _TwistGroups(geom_template, fiber, min(list(ts) + Rs))
     rows = []
     for R in Rs:
         geom = geom_template.with_R(R)
         t_list = list(ts) + [R]
         for t in t_list:
-            lg, _ = _log_abs_deviation(geom, fiber, t)
+            lg, _ = groups.log_abs_deviation(geom, t)
             rows.append((R, float(t), lg))
     r_max = Rs[-1]
     xs = np.array([R * R / t for R, t, lg in rows if R == r_max])
@@ -408,7 +506,7 @@ def verify_lemma_cancellation(geom_template: GlueGeometry,
     for R, t, lg in rows:
         if lg > math.log(1e-11):
             geom = geom_template.with_R(R)
-            direct = abs(relative_heat_trace(geom, fiber, t)
+            direct = abs(groups.relative_trace(geom, t)
                          - half_fiber_heat_trace(fiber, t))
             gap = max(gap, abs(direct - math.exp(lg)) / max(direct, 1e-300))
     return LemmaCancellationReport(
@@ -442,6 +540,8 @@ class SplitReport:
     sum_quadrature: float        # (zeta_small)'(0) + (zeta_large)'(0)
     log_ratio_closed: float
     asymptote: float             # h log R - log(predicted limit)
+    small_quad_error: float      # quad's error estimates of both windows
+    large_quad_error: float
 
     @property
     def small_gap(self) -> float:
@@ -491,12 +591,16 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     lengths = [geom.L1 ** 2, geom.L2 ** 2, geom.C ** 2 / 4.0]
     t_lo = min(min(lengths) / 69.0, 0.5 * T)
 
+    groups = _TwistGroups(geom, fiber, t_lo)
+
     def dev(t: float) -> float:
-        return (relative_heat_trace(geom, fiber, t)
+        return (groups.relative_trace(geom, t)
                 - half_fiber_heat_trace(fiber, t))
 
-    i_dev, _ = quad(lambda u: dev(math.exp(u)), math.log(t_lo), math.log(T),
-                    epsabs=1e-11, epsrel=1e-10, limit=400)
+    i_dev, small_quad_error = quad(
+        lambda u: dev(math.exp(u)), math.log(t_lo), math.log(T),
+        epsabs=1e-11, epsrel=1e-10, limit=400,
+    )
 
     small_counterterm = h0 * (EULER_GAMMA + math.log(T))
     small_raw = (small_counterterm + z_fiber.zeta_prime_at_zero
@@ -507,8 +611,8 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     for th in geom.holonomy:
         lam_min_sq = min(lam_min_sq, (min(th, 2 * math.pi - th) / geom.C) ** 2)
     t_end = 80.0 / lam_min_sq
-    i_large, _ = quad(
-        lambda u: relative_heat_trace(geom, fiber, math.exp(u)),
+    i_large, large_quad_error = quad(
+        lambda u: groups.relative_trace(geom, math.exp(u)),
         math.log(T), math.log(t_end), epsabs=1e-11, epsrel=1e-10, limit=400,
     )
     large_raw = i_large
@@ -533,4 +637,5 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
         sum_quadrature=small_raw + large_raw,
         log_ratio_closed=asm.log_ratio,
         asymptote=h_Y * math.log(R) - math.log(predicted),
+        small_quad_error=small_quad_error, large_quad_error=large_quad_error,
     )

@@ -215,13 +215,16 @@ def _run_bfk(cfg):
     cols = ["R", "log_det_M", "log_det_M1", "log_det_M2", "log_det_R",
             "bfk_ratio", "rel_dev"]
     rows = [[r.R, r.log_det_M, r.log_det_M1, r.log_det_M2, r.log_det_R,
-             r.bfk_ratio, abs(r.bfk_ratio / check.predicted - 1.0)]
-            for r in result.rows]
-    worst_row = max(rows, key=lambda row: row[-1])
+             r.bfk_ratio, dev]
+            for r, dev in zip(result.rows, check.rel_devs)]
+    computed = [row for row, r in zip(rows, result.rows) if not r.failed]
     summary = {
         "predicted_constant": check.predicted,
+        "log_predicted_constant": check.log_predicted,
         "max_rel_dev": check.max_rel_dev,
-        "worst_R": worst_row[0],
+        "worst_R": (max(computed, key=lambda row: row[-1])[0]
+                    if computed else None),
+        "failed_rows": [[R, error] for R, error in check.failed_rows],
         "pass": check.passed,
     }
     xy = {"bfk_vs_R": [(r.R, r.bfk_ratio) for r in result.rows]}
@@ -432,6 +435,8 @@ def _run_split(cfg):
         "asymptote_gap": rep.asymptote_gap,
         "small_gap": rep.small_gap,
         "large_gap": rep.large_gap,
+        "small_quad_error": rep.small_quad_error,
+        "large_quad_error": rep.large_quad_error,
         "pass": passed,
     }
     return rows, cols, summary, {}, passed

@@ -4,6 +4,15 @@ import pytest
 
 from zetaglue import FiberSpectrum, GlueGeometry
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property suite skips itself without hypothesis
+    pass
+else:
+    # the same examples on every run, and none replayed from earlier runs
+    settings.register_profile("reproducible", derandomize=True, database=None)
+    settings.load_profile("reproducible")
+
 THETA = math.pi / 2
 
 

@@ -26,8 +26,14 @@ from zetaglue.glue import (
     GlueGeometry,
     logdet_closed,
     logdet_grid,
+    mode_table,
 )
-from zetaglue.spectral_core import FiberSpectrum, fiber_sqrt_zeta_at_minus_one
+from zetaglue.spectral_core import (
+    FiberSpectrum,
+    fiber_sqrt_zeta_at_minus_one,
+    heat_trace_circle,
+    heat_trace_dirichlet,
+)
 
 
 class TestSweep:
@@ -241,6 +247,23 @@ class TestTheoremVerifiers:
         check = verify_bfk_corollary(sweep(g, fib))
         assert check.passed and abs(check.predicted - 0.25) < 1e-15
 
+    @pytest.mark.parametrize("fiber", [
+        FiberSpectrum.finite([(0.0, 1), (1.0, 1)]),
+        FiberSpectrum.finite([(0.0, 2), (0.3, 1), (1.2, 3), (4.0, 2)]),
+        FiberSpectrum.circle(2 * math.pi),
+    ])
+    def test_bfk_log_domain_matches_linear(self, fiber):
+        g = GlueGeometry(1.0, 2.0, 4.0,
+                         holonomy=(math.pi / 2, 2.0)[:fiber.h0])
+        res = sweep(g, fiber)
+        check = verify_bfk_corollary(res, rel_tol=1e-6)
+        predicted = predicted_bfk_constant(fiber)
+        linear = max(abs(r / predicted - 1.0) for r in res.column("bfk_ratio"))
+        assert check.passed
+        assert check.log_predicted == pytest.approx(math.log(predicted),
+                                                    abs=1e-14)
+        assert abs(check.max_rel_dev - linear) <= 1e-14
+
     def test_bfk_corollary_circle(self, circle_fiber):
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(math.pi / 2,))
         check = verify_bfk_corollary(sweep(g, circle_fiber), rel_tol=1e-6)
@@ -289,11 +312,120 @@ class TestHeatCancellation:
             assert abs(sign * math.exp(lg) - direct) < 1e-8 * abs(direct)
 
 
+def _per_mode_table(geom, fiber, mu_max):
+    """(mu, mult, theta) over all fiber modes, zero modes first; a circle
+    fiber's modes run through the first one past mu_max."""
+    n = (None if fiber.kind == "finite"
+         else int(mu_max * fiber.circumference / (2.0 * math.pi)) + 2)
+    mu, mult, theta = mode_table(geom, fiber, n)
+    h0 = len(geom.holonomy)
+    return zip([0.0] * h0 + mu.tolist(), [1] * h0 + mult.tolist(),
+               list(geom.holonomy) + theta.tolist())
+
+
+def _relative_trace_per_mode(geom, fiber, t):
+    """Reference: three 1-D heat traces per mode."""
+    total = []
+    for mu, mult, theta in _per_mode_table(geom, fiber, math.sqrt(745.0 / t)):
+        total.append(mult * (heat_trace_circle(geom.C, theta, mu, t)
+                             - heat_trace_dirichlet(geom.L1, mu, t)
+                             - heat_trace_dirichlet(geom.L2, mu, t)))
+        if fiber.kind == "circle" and mu > 0.0 and t * mu * mu > 745.0:
+            break
+    return math.fsum(total)
+
+
+def _log_abs_deviation_per_mode(geom, fiber, t):
+    """Reference: the image entries of every mode, each with its own base
+    log(2 mult e^{-t mu^2} / sqrt(4 pi t))."""
+    L1, L2, C = geom.L1, geom.L2, geom.C
+    pref = math.log(2.0) - 0.5 * math.log(4.0 * math.pi * t)
+    entries = []
+    mu_max = math.sqrt(max(1500.0 + math.log(2.0) + pref, 0.0) / t)
+    for mu, mult, theta in _per_mode_table(geom, fiber, mu_max):
+        base = -t * mu * mu + math.log(mult) + pref
+        if base < -1500.0:
+            break
+        for m in range(1, 65):
+            ex_c = m * m * C * C / (4.0 * t)
+            ex_1 = m * m * L1 * L1 / t
+            ex_2 = m * m * L2 * L2 / t
+            if min(ex_c, ex_1, ex_2) > 1500.0 - base + 40.0 and m > 1:
+                break
+            cosv = math.cos(m * theta)
+            if cosv != 0.0:
+                entries.append((base + math.log(C * abs(cosv)) - ex_c,
+                                math.copysign(1.0, cosv)))
+            entries.append((base + math.log(L1) - ex_1, -1.0))
+            entries.append((base + math.log(L2) - ex_2, -1.0))
+    top = max(lg for lg, _ in entries)
+    acc = math.fsum(sgn * math.exp(lg - top) for lg, sgn in entries)
+    if acc == 0.0:
+        return top + math.log(1e-18), 1.0
+    return top + math.log(abs(acc)), math.copysign(1.0, acc)
+
+
+def _switch_times(geom):
+    """t just below and just above each image switch length^2 / 20."""
+    switches = (geom.C ** 2 / 20.0, geom.L1 ** 2 / 20.0, geom.L2 ** 2 / 20.0)
+    return [s * f for s in switches for f in (1.0 - 1e-3, 1.0 + 1e-3)]
+
+
+TWIST_FIBER = FiberSpectrum.finite([(0.0, 3), (0.4, 2), (0.9, 3), (1.7, 1),
+                                    (3.2, 2), (6.5, 3)])
+TWIST_GEOM = GlueGeometry(1.0, 2.5, 1.0, holonomy=(0.7, 2.0, 0.7),
+                         nonzero_phases={0: 1.1, 2: 2.5})
+
+
+class TestTwistFactorization:
+    """The twist-grouped sums against the per-mode sums they replace."""
+
+    CASES = (
+        [(TWIST_FIBER, TWIST_GEOM, t) for t in _switch_times(TWIST_GEOM)]
+        + [(TWIST_FIBER, TWIST_GEOM.with_R(4.0), t) for t in (0.3, 40.0)]
+        + [(FiberSpectrum.circle(c), GlueGeometry(1.3, 0.8, R, holonomy=(2.1,),
+                                                  nonzero_phases={0: 0.9, 3: 2.0}),
+            t)
+           for c, R in ((1.0, 1.0), (2 * math.pi, 1.0), (37.0, 2.0), (1000.0, 8.0))
+           for t in _switch_times(GlueGeometry(1.3, 0.8, R))]
+    )
+
+    IDS = [f"{'circle%g' % f.circumference if f.kind == 'circle' else 'finite'}"
+           f"-R{g.R:g}-t{t:.6g}" for f, g, t in CASES]
+
+    @pytest.mark.parametrize("fiber, geom, t", CASES, ids=IDS)
+    def test_relative_trace_matches_per_mode(self, fiber, geom, t):
+        ref = _relative_trace_per_mode(geom, fiber, t)
+        assert abs(relative_heat_trace(geom, fiber, t) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("fiber, geom, t", CASES, ids=IDS)
+    def test_log_deviation_matches_per_mode(self, fiber, geom, t):
+        lg_ref, sign_ref = _log_abs_deviation_per_mode(geom, fiber, t)
+        lg, sign = _log_abs_deviation(geom, fiber, t)
+        assert sign == sign_ref
+        assert abs(lg - lg_ref) <= 1e-12 * max(1.0, abs(lg_ref))
+
+    def test_deep_underflow_row(self):
+        geom = TWIST_GEOM.with_R(8.0)
+        lg_ref, sign_ref = _log_abs_deviation_per_mode(geom, TWIST_FIBER, 0.1)
+        lg, sign = _log_abs_deviation(geom, TWIST_FIBER, 0.1)
+        assert lg_ref < -745.0
+        assert sign == sign_ref
+        assert abs(lg - lg_ref) <= 1e-12 * abs(lg_ref)
+
+
 class TestSplit:
     def test_sum_reproduces_closed_ratio(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 8.0, holonomy=(math.pi / 2,))
         rep = verify_smalltime_largetime_split(g, std_fiber)
         assert rep.sum_vs_closed_gap < 1e-6
+
+    def test_quadrature_errors_recorded(self, std_fiber):
+        g = GlueGeometry(1.0, 2.0, 8.0, holonomy=(math.pi / 2,))
+        rep = verify_smalltime_largetime_split(g, std_fiber)
+        # quad's own estimates, inside the requested epsabs / epsrel
+        assert 0.0 < rep.small_quad_error < 1e-9
+        assert 0.0 < rep.large_quad_error < 1e-9
 
     def test_asymptote_at_large_stretch(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 64.0, holonomy=(math.pi / 2,))

@@ -190,3 +190,30 @@ def test_trace_perp_circle_fiber_runs(tmp_path):
     assert main(["run", str(write_config(tmp_path, cfg))]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["passed"] is True
+
+
+def test_bfk_wide_fiber_fails_with_outputs(tmp_path, capsys):
+    # 601 modes: 2^(-2 zeta(0) - h) underflows to 0.0 and every row overflows
+    modes = [[0.0, 1]] + [[0.5 + 0.005 * k, 1] for k in range(601)]
+    cfg = {"experiment": "bfk", "fiber": {"type": "finite", "modes": modes},
+           "geometry": {"a1": 1.0, "a2": 2.0, "holonomy": [math.pi / 2]},
+           "out_dir": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert "bfk: FAILED" in err and "numeric failure" not in err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["summary"]["predicted_constant"] == 0.0
+    assert -1e4 < summary["summary"]["log_predicted_constant"] < -745.0
+    assert summary["summary"]["failed_rows"] == [
+        [R, "math range error"] for R in (2.0, 4.0, 8.0, 16.0, 32.0)]
+    csv = (tmp_path / "out" / "bfk.csv").read_text().splitlines()
+    assert len(csv[4:]) == 5
+
+
+def test_split_summary_records_quadrature_errors(tmp_path):
+    cfg = dict(STD_CONFIG, experiment="split", out_dir=str(tmp_path / "out"))
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for key in ("small_quad_error", "large_quad_error"):
+        assert 0.0 < summary["summary"][key] < 1e-9
