@@ -5,7 +5,7 @@ Library layout:
     spectral_core -- eigenvalue sequences, zeta data, heat traces
     base1d        -- closed forms for the 1-D circle/interval problems
     glue          -- assembled geometry, determinants, boundary operator
-    scattering    -- scattering families, model operators, small eigenvalues
+    scattering    -- scattering matrices, model operators, small eigenvalues
     adiabatic     -- stretch sweeps, limit extraction, verification suites
     cli           -- configuration-driven experiment runner
 """
@@ -41,7 +41,6 @@ from .glue import (
     AssembledDeterminants,
     ConditionAViolation,
     GlueGeometry,
-    assemble_R,
     bfk_ratio,
     condition_A_check,
     heat_route_crosscheck,
@@ -49,10 +48,7 @@ from .glue import (
     trace_perp_inverse_diff,
 )
 from .scattering import (
-    EigenphaseTrack,
-    ScatteringFamily,
     SValueReport,
-    c12_family,
     det_L_identity,
     dn_zero_mode_asymptotics,
     model_identities,

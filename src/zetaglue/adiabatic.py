@@ -5,8 +5,9 @@ A sweep evaluates the assembled determinants on a geometric grid of
 stretches.  Limits are extracted by polynomial extrapolation in 1/R
 (Neville/Richardson on the grid); a least-squares fit of
 c0 + c1/R + c2/R^2 is reported alongside for diagnostics and for the
-uncertainty bound.  Predictions for the limits are assembled from the
-fiber zeta data and the composite scattering matrix, and the three
+uncertainty bound.  Predictions for the limits are assembled, in logs,
+from the fiber zeta data and the closed form prod sin^2(theta_j/2) of
+det((Id - U)/2) for the composite scattering matrix U at 0, and the three
 predicted quantities satisfy an exact algebraic triangle that is
 asserted rather than assumed.
 """
@@ -22,7 +23,7 @@ from scipy.special import exp1
 
 from .glue import (GlueGeometry, condition_A_check, logdet_closed, logdet_grid,
                    mode_table)
-from .scattering import c12_family, model_logdet, model_logdet_star
+from .scattering import model_logdet, model_logdet_star
 from .spectral_core import (
     EULER_GAMMA,
     FiberSpectrum,
@@ -183,32 +184,49 @@ def extrapolate(Rs, vals) -> FitReport:
 # Predicted limits
 # ---------------------------------------------------------------------------
 
-def _det_half_complement(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
-    """det((Id - U)/2) for the composite scattering matrix at 0."""
-    comp, _ = c12_family(geom, fiber)
+def _log_det_half_complement(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
+    """log det((Id - U)/2), U the composite scattering matrix at 0.  Per
+    zero mode U is diag(e^{i theta}, e^{-i theta}), so the determinant is
+    the product of sin^2(theta_j / 2)."""
+    if len(geom.holonomy) != fiber.h0:
+        raise ValueError("holonomy/fiber mismatch")
+    return math.fsum(2.0 * math.log(abs(math.sin(0.5 * t)))
+                     for t in geom.holonomy)
+
+
+def _exp(x: float) -> float:
+    """e^x, inf where that overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_main_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
     h_Y = 2 * fiber.h0
-    u0 = comp.matrix(0.0)
-    return float(np.linalg.det((np.eye(h_Y) - u0) / 2.0).real)
+    return (-h_Y * math.log(2.0) + fiber_zeta_data(fiber).log_det  # one copy
+            + _log_det_half_complement(geom, fiber))
 
 
 def predicted_main_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
-    """2^{-h} sqrt(det* of the doubled cross-section) det((Id-U)/2)."""
-    h_Y = 2 * fiber.h0
-    sqrt_det_star = math.exp(fiber_zeta_data(fiber).log_det)  # one copy
-    return 2.0 ** (-h_Y) * sqrt_det_star * _det_half_complement(geom, fiber)
+    """2^{-h} sqrt(det* of the doubled cross-section) det((Id-U)/2), taken
+    in logs; inf past the float range."""
+    return _exp(_log_main_limit(geom, fiber))
+
+
+def _log_dn_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
+    z = fiber_zeta_data(fiber)
+    sq = fiber_sqrt_zeta_data(fiber)
+    log_value = 2.0 * z.zeta_at_zero * math.log(2.0) + 2.0 * sq.log_det
+    # same number through the scaled square root; the doubling identity
+    assert abs(log_value - 2.0 * fiber_scaled_sqrt_logdet(fiber)) <= 1e-10
+    return log_value + _log_det_half_complement(geom, fiber)
 
 
 def predicted_dn_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
-    """2^{zeta(0)} det*(sqrt) det((Id-U)/2) over the doubled cross-section."""
-    z = fiber_zeta_data(fiber)
-    sq = fiber_sqrt_zeta_data(fiber)
-    zeta0_doubled = 2.0 * z.zeta_at_zero
-    det_sqrt_doubled = math.exp(2.0 * sq.log_det)
-    value = 2.0 ** zeta0_doubled * det_sqrt_doubled
-    # same number through the scaled square root; the doubling identity
-    scaled = math.exp(2.0 * fiber_scaled_sqrt_logdet(fiber))
-    assert abs(value - scaled) <= 1e-10 * abs(value)
-    return value * _det_half_complement(geom, fiber)
+    """2^{zeta(0)} det*(sqrt) det((Id-U)/2) over the doubled cross-section,
+    taken in logs; inf past the float range."""
+    return _exp(_log_dn_limit(geom, fiber))
 
 
 def _bfk_exponent(fiber: FiberSpectrum) -> float:
@@ -225,11 +243,11 @@ def predicted_bfk_constant(fiber: FiberSpectrum) -> float:
 
 
 def consistency_triangle_gap(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
-    """Relative gap of predicted(main) / predicted(dn) vs the constant."""
-    main = predicted_main_limit(geom, fiber)
-    dn = predicted_dn_limit(geom, fiber)
-    c = predicted_bfk_constant(fiber)
-    return abs(main / dn - c) / c
+    """Relative gap of predicted(main) / predicted(dn) vs the constant,
+    compared in logs so that no side overflows."""
+    log_constant = _bfk_exponent(fiber) * math.log(2.0)
+    return abs(math.expm1(_log_main_limit(geom, fiber)
+                          - _log_dn_limit(geom, fiber) - log_constant))
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +256,40 @@ def consistency_triangle_gap(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    fit: FitReport
+    fit: FitReport | None        # None when fewer than 3 rows were computed
     predicted: float
     passed: bool
     extrapolation_gap: float
     exponent_ok: bool
+    failed_rows: tuple[tuple[float, str], ...] = ()   # (R, error) per failed row
+
+
+def _theorem_check(result: SweepResult, column: str, predicted: float,
+                   tol: float) -> TheoremCheck:
+    """Extrapolate one sweep column and compare it with its predicted limit;
+    fails when any row failed, and has no fit when fewer than 3 are left."""
+    failed = tuple((r.R, r.error) for r in result.rows if r.failed)
+    if len(result.Rs) < 3:
+        return TheoremCheck(None, predicted, False, math.nan, False, failed)
+    fit = extrapolate(result.Rs, result.column(column))
+    gap = abs(fit.limit - predicted)
+    exp_ok = 0.8 <= fit.convergence_exponent <= 1.2
+    return TheoremCheck(fit, predicted, gap <= tol and not failed, gap, exp_ok,
+                        failed)
 
 
 def verify_theorem_main(result: SweepResult, tol: float = 1e-4) -> TheoremCheck:
     """Extrapolate the scaled determinant ratio and compare the prediction."""
-    fit = extrapolate(result.Rs, result.column("scaled_ratio"))
-    predicted = predicted_main_limit(result.geom_template, result.fiber)
-    gap = abs(fit.limit - predicted)
-    exp_ok = 0.8 <= fit.convergence_exponent <= 1.2
-    return TheoremCheck(fit, predicted, gap <= tol, gap, exp_ok)
+    return _theorem_check(
+        result, "scaled_ratio",
+        predicted_main_limit(result.geom_template, result.fiber), tol)
 
 
 def verify_theorem_dn(result: SweepResult, tol: float = 1e-4) -> TheoremCheck:
     """Extrapolate the scaled boundary-operator determinant likewise."""
-    fit = extrapolate(result.Rs, result.column("scaled_det_R"))
-    predicted = predicted_dn_limit(result.geom_template, result.fiber)
-    gap = abs(fit.limit - predicted)
-    exp_ok = 0.8 <= fit.convergence_exponent <= 1.2
-    return TheoremCheck(fit, predicted, gap <= tol, gap, exp_ok)
+    return _theorem_check(
+        result, "scaled_det_R",
+        predicted_dn_limit(result.geom_template, result.fiber), tol)
 
 
 @dataclass(frozen=True)
@@ -627,7 +656,6 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     large_limit = 0.5 * (-log_quarter + log_cbar_star)
 
     asm = logdet_closed(geom, fiber)
-    predicted = predicted_main_limit(geom, fiber)
     return SplitReport(
         R=R, epsilon=epsilon, T=T,
         small_raw=small_raw, small_counterterm=small_counterterm,
@@ -636,6 +664,6 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
         large_limit_value=large_limit,
         sum_quadrature=small_raw + large_raw,
         log_ratio_closed=asm.log_ratio,
-        asymptote=h_Y * math.log(R) - math.log(predicted),
+        asymptote=h_Y * math.log(R) - _log_main_limit(geom, fiber),
         small_quad_error=small_quad_error, large_quad_error=large_quad_error,
     )

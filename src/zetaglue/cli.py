@@ -241,28 +241,30 @@ def _run_theorem(cfg, which: str):
     else:
         check = verify_theorem_dn(result, tol=tol)
         col = "scaled_det_R"
-    vals = result.column(col)
     cols = ["R", col, "deviation_from_predicted"]
-    rows = [[R, v, abs(v - check.predicted)]
-            for R, v in zip(result.Rs, vals)]
+    rows = [[r.R, getattr(r, col), abs(getattr(r, col) - check.predicted)]
+            for r in result.rows]
     passed = check.passed and check.exponent_ok
-    summary = {
+    fit = check.fit
+    fit_keys = ("extrapolated_limit", "extrapolation_gap", "fit_coefficients",
+                "fit_residual_norm", "fit_uncertainty", "convergence_exponent")
+    # no fit when fewer than 3 rows were computed
+    fit_values = ((fit.limit, check.extrapolation_gap, list(fit.coeffs),
+                   fit.residual_norm, fit.uncertainty, fit.convergence_exponent)
+                  if fit else (None,) * len(fit_keys))
+    summary = dict(zip(fit_keys, fit_values))
+    summary.update({
         "predicted_limit": check.predicted,
-        "extrapolated_limit": check.fit.limit,
-        "extrapolation_gap": check.extrapolation_gap,
-        "fit_coefficients": list(check.fit.coeffs),
-        "fit_residual_norm": check.fit.residual_norm,
-        "fit_uncertainty": check.fit.uncertainty,
-        "convergence_exponent": check.fit.convergence_exponent,
+        "failed_rows": [[R, error] for R, error in check.failed_rows],
         "pass": passed,
-    }
+    })
     if which == "dn":
         from .adiabatic import consistency_triangle_gap
         gap = consistency_triangle_gap(make(cfg["r_grid"][0]), fiber)
         summary["consistency_triangle_gap"] = gap
         passed = passed and gap <= cfg["tolerances"]["triangle_gap"]
         summary["pass"] = passed
-    xy = {f"{col}_vs_R": list(zip(result.Rs, vals))}
+    xy = {f"{col}_vs_R": list(zip(result.Rs, result.column(col)))}
     return rows, cols, summary, xy, passed
 
 

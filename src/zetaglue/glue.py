@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 from scipy.integrate import quad
 
-from .base1d import _OVERFLOW_ARG, Circle, DirichletInterval, ModeProblem, dn_block
+from .base1d import _OVERFLOW_ARG, Circle, DirichletInterval, ModeProblem
 from .spectral_core import (
     FiberSpectrum,
     fiber_sqrt_zeta_at_minus_one,
@@ -37,16 +37,13 @@ __all__ = [
     "ConditionAReport",
     "ConditionAViolation",
     "AssembledDeterminants",
-    "RAssembly",
     "condition_A_check",
     "mode_table",
     "logdet_grid",
     "logdet_closed",
-    "assemble_R",
     "bfk_ratio",
     "trace_perp_inverse_diff",
     "heat_route_crosscheck",
-    "rr_plus_direction_diagnostic",
 ]
 
 
@@ -179,15 +176,6 @@ class AssembledDeterminants:
     @property
     def log_bfk_ratio(self) -> float:
         return self.log_ratio - self.log_det_R
-
-
-@dataclass(frozen=True)
-class RAssembly:
-    """Boundary-response operator: per-mode 2x2 block sums and its
-    regularized log-determinant."""
-
-    blocks: tuple[tuple[str, float, int, np.ndarray], ...]  # label, mu, mult, 2x2
-    log_det: float
 
 
 def mode_table(geom: GlueGeometry, fiber: FiberSpectrum, n: int | None = None):
@@ -363,37 +351,6 @@ def logdet_closed(geom: GlueGeometry, fiber: FiberSpectrum,
     return entry
 
 
-def assemble_R(geom: GlueGeometry, fiber: FiberSpectrum,
-               tail_eps: float = 1e-16) -> RAssembly:
-    """Boundary-response operator: per-mode block sums and log det.
-
-    Zero-mode blocks carry the holonomy gauge (phase on the second piece);
-    a trivial phase there would make the block singular, which is exactly
-    the condition failure, so it is rejected up front.  A circle fiber lists
-    its first 33 nonzero blocks; the log det is assembled over all modes.
-    """
-    asm = logdet_closed(geom, fiber, tail_eps=tail_eps)
-    mu, mult, theta = mode_table(geom, fiber,
-                                 None if fiber.kind == "finite" else 33)
-    h0 = len(geom.holonomy)
-    # per interval, diagonal and off-diagonal: 1/L at mu = 0, else
-    # mu coth(mu L) and mu csch(mu L)
-    diag, off = [], []
-    for L in (geom.L1, geom.L2):
-        s, c = _csch_coth(mu * L)
-        diag.append(np.concatenate([np.full(h0, 1.0 / L), mu * (1.0 + c)]))
-        off.append(np.concatenate([np.full(h0, 1.0 / L), mu * s]))
-    w = np.exp(1j * np.concatenate([geom.holonomy, theta]))
-    blocks = np.empty((len(w), 2, 2), dtype=complex)
-    blocks[:, 0, 0] = blocks[:, 1, 1] = diag[0] + diag[1]
-    blocks[:, 0, 1] = -off[0] - off[1] * w.conj()
-    blocks[:, 1, 0] = -off[0] - off[1] * w
-    labels = ([f"zero:{j}" for j in range(h0)]
-              + [f"nonzero:{i}" for i in range(len(mu))])
-    return RAssembly(tuple(zip(labels, [0.0] * h0 + mu.tolist(),
-                               [1] * h0 + mult.tolist(), blocks)), asm.log_det_R)
-
-
 def bfk_ratio(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
     """det_M / (det_M1 det_M2 det_R): the gluing constant, independent of
     R, the interior lengths and the holonomy."""
@@ -515,12 +472,3 @@ def _inverse_trace_heat(problem: ModeProblem) -> float:
     i2, _ = quad(lambda u: heat_trace_mode(problem, math.exp(u)) * math.exp(u),
                  0.0, math.log(t_hi), epsabs=1e-12, epsrel=1e-11, limit=400)
     return i1 + i2
-
-
-def rr_plus_direction_diagnostic(geom: GlueGeometry) -> float:
-    """Pairing of the trivial-holonomy block sum against the common fixed
-    vector: exactly zero in this model, exhibiting the degenerate limit the
-    condition-A hypothesis excludes.  Diagnostic only."""
-    b = dn_block(geom.L1, 0.0, 1.0).matrix + dn_block(geom.L2, 0.0, 1.0).matrix
-    phi = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    return float((phi @ b @ phi).real)

@@ -4,7 +4,9 @@ Each cut piece, extended by half-infinite cylinders, scatters the
 zero-mode plane waves without reflection: per transverse zero mode the
 2x2 matrix is an off-diagonal (full-transmission) unitary whose phase
 grows linearly with the interior length.  The composite of the two pieces
-is diagonal with eigenphases +/- the holonomy.
+is exactly exp(i lambda (a1 + a2)) diag(e^{i theta}, e^{-i theta}) per
+zero mode, so det((Id - U)/2) at lambda = 0 is the product of
+sin^2(theta_j / 2); the predicted limits use that closed form.
 
 The rescaled small eigenvalues of the glued operator and of the pieces
 are governed by explicit model operators on the unit circle, spectrum
@@ -31,12 +33,8 @@ from .spectral_core import (
 )
 
 __all__ = [
-    "ScatteringFamily",
-    "EigenphaseTrack",
     "SValueReport",
     "scattering_matrix",
-    "make_family",
-    "c12_family",
     "model_spectrum",
     "model_positive_roots",
     "model_logdet",
@@ -59,72 +57,20 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def _gauge(piece: int, theta: float) -> complex:
-    """Boundary phase of one piece for one zero mode (gauge fixing: the
-    holonomy sits entirely on piece 2)."""
-    if piece == 1:
-        return 1.0 + 0.0j
-    return cmath.exp(1j * theta)
-
-
-@dataclass(frozen=True)
-class ScatteringFamily:
-    """lambda -> block-diagonal unitary on the zero-mode space.
-
-    Per zero mode the block is exp(i lambda a) times the gauge-twisted
-    swap of the two cut components; `a` is the interior length (sum of
-    both for the composite family).
-    """
-
-    label: str
-    a: float
-    gauges: tuple[complex, ...]  # per zero mode: (w_left, w_right) collapsed
-
-    def block(self, lam: float, j: int) -> np.ndarray:
-        w = self.gauges[j]
-        phase = cmath.exp(1j * lam * self.a)
-        return phase * np.array([[0.0, w.conjugate()], [w, 0.0]], dtype=complex)
-
-    def matrix(self, lam: float) -> np.ndarray:
-        d = 2 * len(self.gauges)
-        out = np.zeros((d, d), dtype=complex)
-        for j in range(len(self.gauges)):
-            out[2 * j: 2 * j + 2, 2 * j: 2 * j + 2] = self.block(lam, j)
-        return out
-
-
-@dataclass(frozen=True)
-class _ComposedFamily:
-    """Pointwise product of two scattering families (same block layout)."""
-
-    label: str
-    first: ScatteringFamily
-    second: ScatteringFamily
-
-    @property
-    def a(self) -> float:
-        return self.first.a + self.second.a
-
-    @property
-    def gauges(self):
-        return self.first.gauges
-
-    def block(self, lam: float, j: int) -> np.ndarray:
-        return self.first.block(lam, j) @ self.second.block(lam, j)
-
-    def matrix(self, lam: float) -> np.ndarray:
-        return self.first.matrix(lam) @ self.second.matrix(lam)
-
-
-def make_family(piece: int, geom: GlueGeometry,
-                fiber: FiberSpectrum) -> ScatteringFamily:
+def _piece_matrix(piece: int, lam: float, geom: GlueGeometry) -> np.ndarray:
+    """exp(i lam a_i) times the block-diagonal gauge-twisted swap: per zero
+    mode j the block [[0, conj(w_j)], [w_j, 0]], with w = 1 on piece 1 and
+    e^{i theta_j} on piece 2 (the holonomy sits entirely on piece 2)."""
     if piece not in (1, 2):
         raise ValueError("piece must be 1 or 2")
-    if len(geom.holonomy) != fiber.h0:
-        raise ValueError("holonomy/fiber mismatch")
     a = geom.a1 if piece == 1 else geom.a2
-    gauges = tuple(_gauge(piece, t) for t in geom.holonomy)
-    return ScatteringFamily(label=f"piece{piece}", a=a, gauges=gauges)
+    theta = np.array(geom.holonomy)
+    w = np.exp(1j * theta) if piece == 2 else np.ones(len(theta), dtype=complex)
+    j = 2 * np.arange(len(w))
+    out = np.zeros((2 * len(w), 2 * len(w)), dtype=complex)
+    out[j, j + 1] = w.conj()
+    out[j + 1, j] = w
+    return cmath.exp(1j * lam * a) * out
 
 
 def scattering_matrix(piece: int, lam: float, geom: GlueGeometry,
@@ -136,88 +82,9 @@ def scattering_matrix(piece: int, lam: float, geom: GlueGeometry,
     """
     if abs(lam) >= fiber.min_nonzero:
         raise ValueError("not in zero-mode window")
-    return make_family(piece, geom, fiber).matrix(lam)
-
-
-# ---------------------------------------------------------------------------
-# Eigenphase tracking
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenphaseTrack:
-    """Continuously tracked eigenphases alpha_j(lambda) of a unitary family."""
-
-    lams: np.ndarray
-    alphas: np.ndarray           # shape (len(lams), d)
-    alpha_at_zero: np.ndarray    # shape (d,)
-    derivative_at_zero: np.ndarray
-
-    def alpha(self, j: int) -> np.ndarray:
-        return self.alphas[:, j]
-
-
-def _track_block(block_fn, lams: np.ndarray) -> np.ndarray:
-    """Track the two eigenphases of a 2x2 unitary family by continuity."""
-    out = np.empty((len(lams), 2))
-    w, v = np.linalg.eig(block_fn(lams[0]))
-    order = np.argsort(np.angle(w))
-    w, v = w[order], v[:, order]
-    prev_alpha = np.angle(w)
-    prev_v = v
-    out[0] = prev_alpha
-    for i, lam in enumerate(lams[1:], start=1):
-        w, v = np.linalg.eig(block_fn(lam))
-        overlap = np.abs(prev_v.conj().T @ v)
-        if overlap[0, 0] + overlap[1, 1] < overlap[0, 1] + overlap[1, 0]:
-            w, v = w[::-1], v[:, ::-1]
-        raw = np.angle(w)
-        alpha = raw + TWO_PI * np.round((prev_alpha - raw) / TWO_PI)
-        out[i] = alpha
-        prev_alpha, prev_v = alpha, v
-    return out
-
-
-def _track_family(family, lam_max: float) -> EigenphaseTrack:
-    a = max(family.a, 1e-9)
-    step = 0.9 * (math.pi / 4.0) / a  # keeps |d lambda| a below pi/4
-    n = max(8, int(math.ceil(lam_max / step)))
-    lams = np.linspace(0.0, lam_max, n + 1)
-    cols = []
-    derivs = []
-    h = 1e-6 / a
-    for j in range(len(family.gauges)):
-        cols.append(_track_block(lambda l, j=j: family.block(l, j), lams))
-        bp = (family.block(h, j) - family.block(-h, j)) / (2.0 * h)
-        b0 = family.block(0.0, j)
-        w0, v0 = np.linalg.eig(b0)  # normal matrix; columns orthonormal
-        dj = []
-        for k in range(2):
-            phi = v0[:, k] / np.linalg.norm(v0[:, k])
-            dj.append(float((phi.conj() @ bp @ phi / (1j * w0[k])).real))
-        derivs.append(dj)
-    alphas = np.hstack(cols)
-    return EigenphaseTrack(
-        lams=lams,
-        alphas=alphas,
-        alpha_at_zero=alphas[0].copy(),
-        derivative_at_zero=np.array(derivs).reshape(-1),
-    )
-
-
-def c12_family(geom: GlueGeometry, fiber: FiberSpectrum,
-               lam_max: float | None = None):
-    """Composite scattering family and its tracked eigenphases.
-
-    At lambda = 0 the eigenphases are +/- the holonomy phase per zero
-    mode; under the no-small-eigenvalue condition none of them vanishes.
-    """
-    f1 = make_family(1, geom, fiber)
-    f2 = make_family(2, geom, fiber)
-    comp = _ComposedFamily("c12", f1, f2)
-    if lam_max is None:
-        lam_max = 0.5 * fiber.min_nonzero if fiber.min_nonzero < math.inf else 1.0
-    track = _track_family(comp, lam_max)
-    return comp, track
+    if len(geom.holonomy) != fiber.h0:
+        raise ValueError("holonomy/fiber mismatch")
+    return _piece_matrix(piece, lam, geom)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +135,9 @@ def model_logdet(alphas) -> float:
     Only valid off the kernel locus; a vanishing phase routes to the
     starred path.
     """
-    total = 0.0
-    for alpha in alphas:
-        a = _canonical_phase(alpha)
-        if a == 0.0:
-            raise ValueError("phase 0 mod 2pi: use model_logdet_star")
-        total += math.log(4.0) + 2.0 * math.log(abs(math.sin(0.5 * a)))
+    total, kernel = model_logdet_star(alphas)
+    if kernel:
+        raise ValueError("phase 0 mod 2pi: use model_logdet_star")
     return total
 
 
@@ -359,13 +223,13 @@ def model_identities(geom: GlueGeometry, fiber: FiberSpectrum) -> ModelIdentitie
     """Verify the two model determinant identities, exactly and numerically.
 
     det of the quarter-scaled composite model equals 2^{2 h} det((Id-U)/2)^2
-    where U is the composite matrix at 0; the kernel-excluded det of each
-    reflected piece model equals 2^{2 h}.
+    where U is the composite matrix at 0, here the product of the two piece
+    matrices, so the closed form of the model side is checked against it;
+    the kernel-excluded det of each reflected piece model equals 2^{2 h}.
     """
     condition_A_check(geom, fiber).raise_if_failed()
     h_Y = 2 * fiber.h0
-    comp, _ = c12_family(geom, fiber)
-    u0 = comp.matrix(0.0)
+    u0 = _piece_matrix(1, 0.0, geom) @ _piece_matrix(2, 0.0, geom)
     d_half = np.linalg.det((np.eye(h_Y) - u0) / 2.0)
     d_half = float(d_half.real)
 
@@ -584,8 +448,11 @@ def dn_zero_mode_asymptotics(geom: GlueGeometry,
     """Zero-mode pairings of each piece response against the scattering
     prediction (1/R)(1 - alpha/2R)^{-1}.
 
-    alpha is derived from the module's own family derivative at 0, not
-    hard-coded; both sign choices are reported and exactly one matches.
+    alpha is derived from the module's own piece matrices, not hard-coded:
+    the family exp(i lam a) C(0) has derivative i a C(0) at 0, so on an
+    eigenvector of C(0) with eigenvalue e it acts as i alpha with alpha = a e,
+    -a on the -1 vector.  Both sign choices are reported and exactly one
+    matches.
     """
     from .base1d import dn_block
 
@@ -593,22 +460,19 @@ def dn_zero_mode_asymptotics(geom: GlueGeometry,
     R = geom.R
     entries = []
     for piece in (1, 2):
-        fam = make_family(piece, geom, fiber)
+        c0 = _piece_matrix(piece, 0.0, geom)
+        a = geom.a1 if piece == 1 else geom.a2
         L = geom.L1 if piece == 1 else geom.L2
-        h = 1e-6 / max(fam.a, 1.0)
-        for j, theta in enumerate(geom.holonomy):
-            w2 = _gauge(piece, theta)
-            n_block = dn_block(L, 0.0, w2).matrix
-            b0 = fam.block(0.0, j)
+        for j in range(len(geom.holonomy)):
+            b0 = c0[2 * j: 2 * j + 2, 2 * j: 2 * j + 2]
+            n_block = dn_block(L, 0.0, b0[1, 0]).matrix
             w0, v0 = np.linalg.eigh(b0)
             idx_minus = int(np.argmin(w0))
             idx_plus = int(np.argmax(w0))
             phi_m, phi_p = v0[:, idx_minus], v0[:, idx_plus]
             val_m = float((phi_m.conj() @ n_block @ phi_m).real)
             val_p = float((phi_p.conj() @ n_block @ phi_p).real)
-            bp = (fam.block(h, j) - fam.block(-h, j)) / (2.0 * h)
-            # i*alpha is the eigenvalue of the family derivative at 0 on phi
-            alpha = float((-1j * (phi_m.conj() @ bp @ phi_m)).real)
+            alpha = a * float(w0[idx_minus])
 
             def model(al: float) -> float:
                 return (1.0 / R) / (1.0 - al / (2.0 * R))
@@ -630,22 +494,11 @@ def dn_zero_mode_asymptotics(geom: GlueGeometry,
 def fixed_space_dims(geom: GlueGeometry) -> tuple[int, int]:
     """(h_1, h_2): fixed-space dimensions of the reflected piece matrices.
 
-    Computed from the spectra of the families at 0; their sum equals the
-    zero-mode dimension 2 h0.
+    Computed from the spectra of the piece matrices at 0; their sum equals
+    the zero-mode dimension 2 h0.
     """
-    dims = []
-    for piece in (1, 2):
-        fam = ScatteringFamily(
-            label=f"piece{piece}",
-            a=geom.a1 if piece == 1 else geom.a2,
-            gauges=tuple(_gauge(piece, t) for t in geom.holonomy),
-        )
-        h = 0
-        for j in range(len(fam.gauges)):
-            ev = np.linalg.eigvalsh(-fam.block(0.0, j))
-            h += int(np.sum(ev > 0.5))
-        dims.append(h)
-    h1, h2 = dims
+    h1, h2 = (int(np.sum(np.linalg.eigvalsh(-_piece_matrix(piece, 0.0, geom))
+                         > 0.5)) for piece in (1, 2))
     assert h1 + h2 == 2 * len(geom.holonomy)
     return h1, h2
 
@@ -673,15 +526,8 @@ def det_L_identity(geom: GlueGeometry) -> DetLReport:
                 f"common fixed vector (1, 1)/sqrt(2) on zero mode {j}"
             )
     h_Y = 2 * len(geom.holonomy)
-    d = h_Y
-    c1 = np.zeros((d, d), dtype=complex)
-    c2 = np.zeros((d, d), dtype=complex)
-    for j, theta in enumerate(geom.holonomy):
-        sl = slice(2 * j, 2 * j + 2)
-        w1, w2 = _gauge(1, theta), _gauge(2, theta)
-        c1[sl, sl] = np.array([[0, w1.conjugate()], [w1, 0]])
-        c2[sl, sl] = np.array([[0, w2.conjugate()], [w2, 0]])
-    eye = np.eye(d)
+    c1, c2 = _piece_matrix(1, 0.0, geom), _piece_matrix(2, 0.0, geom)
+    eye = np.eye(h_Y)
     l_op = ((eye - c1) / 2.0 + (eye - c2) / 2.0) / geom.R
     det_l = float(np.linalg.det(l_op).real)
     rhs = geom.R ** (-h_Y) * float(np.linalg.det((eye - c1 @ c2) / 2.0).real)

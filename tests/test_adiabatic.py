@@ -513,3 +513,15 @@ def test_bfk_fails_on_one_failed_row(std_fiber, std_geom):
     check = verify_bfk_corollary(dataclasses.replace(res, rows=broken))
     assert not check.passed
     assert check.failed_rows == ((res.rows[2].R, "boom"),)
+
+
+@pytest.mark.parametrize("verify", [verify_theorem_main, verify_theorem_dn])
+def test_theorem_fails_on_one_failed_row(std_fiber, std_geom, verify):
+    res = sweep(std_geom(), std_fiber)
+    assert verify(res).passed
+    broken = res.rows[:2] + (dataclasses.replace(
+        res.rows[2], failed=True, error="boom"),) + res.rows[3:]
+    check = verify(dataclasses.replace(res, rows=broken))
+    # four rows are left to extrapolate, but the failed one fails the check
+    assert check.fit is not None and not check.passed
+    assert check.failed_rows == ((res.rows[2].R, "boom"),)

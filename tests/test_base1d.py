@@ -162,6 +162,17 @@ def test_sewing_identity_flat(L1, L2, theta):
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
+@pytest.mark.parametrize("R", [4.0, 32.0])
+def test_plus_direction_pairing_vanishes(R):
+    # trivial holonomy: the sum of the two interval blocks pairs to exactly
+    # zero with the common fixed vector, the degenerate limit condition A
+    # excludes
+    b = (dn_block(1.0 + 2.0 * R, 0.0, 1.0).matrix
+         + dn_block(2.0 + 2.0 * R, 0.0, 1.0).matrix)
+    phi = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    assert float((phi @ b @ phi).real) == 0.0
+
+
 class TestModeProblem:
     def test_kernel_flag(self):
         assert ModeProblem(0.0, Circle(3.0, 0.0)).has_kernel

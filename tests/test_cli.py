@@ -192,10 +192,13 @@ def test_trace_perp_circle_fiber_runs(tmp_path):
     assert summary["passed"] is True
 
 
+# 601 modes: 2^(-2 zeta(0) - h) underflows to 0.0 and every sweep row
+# overflows
+WIDE_MODES = [[0.0, 1]] + [[0.5 + 0.005 * k, 1] for k in range(601)]
+
+
 def test_bfk_wide_fiber_fails_with_outputs(tmp_path, capsys):
-    # 601 modes: 2^(-2 zeta(0) - h) underflows to 0.0 and every row overflows
-    modes = [[0.0, 1]] + [[0.5 + 0.005 * k, 1] for k in range(601)]
-    cfg = {"experiment": "bfk", "fiber": {"type": "finite", "modes": modes},
+    cfg = {"experiment": "bfk", "fiber": {"type": "finite", "modes": WIDE_MODES},
            "geometry": {"a1": 1.0, "a2": 2.0, "holonomy": [math.pi / 2]},
            "out_dir": str(tmp_path / "out")}
     assert main(["run", str(write_config(tmp_path, cfg))]) == 3
@@ -208,6 +211,26 @@ def test_bfk_wide_fiber_fails_with_outputs(tmp_path, capsys):
     assert summary["summary"]["failed_rows"] == [
         [R, "math range error"] for R in (2.0, 4.0, 8.0, 16.0, 32.0)]
     csv = (tmp_path / "out" / "bfk.csv").read_text().splitlines()
+    assert len(csv[4:]) == 5
+
+
+@pytest.mark.parametrize("experiment", ["theorem-main", "theorem-dn"])
+def test_theorem_wide_fiber_fails_with_outputs(tmp_path, capsys, experiment):
+    # no row is left to extrapolate: a FAILED verdict naming the rows, not
+    # a numeric failure
+    cfg = {"experiment": experiment,
+           "fiber": {"type": "finite", "modes": WIDE_MODES},
+           "geometry": {"a1": 1.0, "a2": 2.0, "holonomy": [math.pi / 2]},
+           "out_dir": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert f"{experiment}: FAILED" in err and "numeric failure" not in err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["summary"]["extrapolated_limit"] is None
+    assert summary["summary"]["failed_rows"] == [
+        [R, "math range error"] for R in (4.0, 8.0, 16.0, 32.0, 64.0)]
+    csv = (tmp_path / "out" / f"{experiment}.csv").read_text().splitlines()
     assert len(csv[4:]) == 5
 
 

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from zetaglue.base1d import logdet_circle_mode, logdet_dirichlet_mode
+from zetaglue.base1d import dn_block, logdet_circle_mode, logdet_dirichlet_mode
 from zetaglue.glue import (
     ConditionAViolation,
     GlueGeometry,
-    assemble_R,
     bfk_ratio,
     condition_A_check,
     heat_route_crosscheck,
     logdet_closed,
-    rr_plus_direction_diagnostic,
     trace_perp_inverse_diff,
 )
 from zetaglue.spectral_core import FiberSpectrum
@@ -117,12 +115,17 @@ class TestCircleFiberRegularization:
             logdet_closed(g, circle_fiber, max_modes=2)
 
 
-class TestAssembleR:
-    def test_zero_mode_block_det(self, std_fiber, std_geom):
+def block_sum(geom, mu, theta=0.0):
+    """One mode's 2x2 block of the boundary operator: the sum of the two
+    interval DN blocks, the twist on the second piece."""
+    w = complex(math.cos(theta), math.sin(theta))
+    return dn_block(geom.L1, mu).matrix + dn_block(geom.L2, mu, w).matrix
+
+
+class TestBoundaryOperatorBlocks:
+    def test_zero_mode_block_det(self, std_geom):
         g = std_geom(4.0)
-        ra = assemble_R(g, std_fiber)
-        label, mu, mult, blk = ra.blocks[0]
-        det = float(np.linalg.det(blk).real)
+        det = float(np.linalg.det(block_sum(g, 0.0, math.pi / 2)).real)
         expect = (2.0 - 2.0 * math.cos(math.pi / 2)) / (g.L1 * g.L2)
         assert abs(det - expect) < 1e-15
 
@@ -130,28 +133,23 @@ class TestAssembleR:
         # mu = 1, both intervals of length 11: limit 2 mu with the coupling
         # still visible at e^{-mu L}; the determinant and inverse trace
         # carry the e^{-2 mu L} cancellation
-        fib = FiberSpectrum.finite([(1.0, 1)])
-        g = GlueGeometry(1.0, 1.0, 5.0)
-        ra = assemble_R(g, fib)
-        _, mu, _, blk = ra.blocks[0]
-        ev = np.linalg.eigvalsh(blk)
-        for e in ev:
+        blk = block_sum(GlueGeometry(1.0, 1.0, 5.0), 1.0)
+        for e in np.linalg.eigvalsh(blk):
             assert abs(e - 2.0) <= 5.0 * math.exp(-11.0)
         det = float(np.linalg.det(blk).real)
         assert abs(det / 4.0 - 1.0) <= 5.0 * math.exp(-22.0)
 
     def test_finite_fiber_product(self, std_fiber, std_geom):
+        # zero mode with its holonomy, then the mode at frequency 1
         g = std_geom(4.0)
-        ra = assemble_R(g, std_fiber)
-        prod = 0.0
-        for label, mu, mult, blk in ra.blocks:
-            prod += mult * math.log(float(np.linalg.det(blk).real))
-        assert abs(ra.log_det - prod) < 1e-12
+        prod = sum(math.log(float(np.linalg.det(block_sum(g, mu, theta)).real))
+                   for mu, theta in ((0.0, math.pi / 2), (1.0, 0.0)))
+        assert abs(logdet_closed(g, std_fiber).log_det_R - prod) < 1e-12
 
     def test_singular_block_rejected(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(0.0,))
         with pytest.raises(ConditionAViolation):
-            assemble_R(g, std_fiber)
+            logdet_closed(g, std_fiber)
 
 
 class TestBfkRatio:
@@ -235,11 +233,6 @@ class TestHeatRouteCrosscheck:
         g = GlueGeometry(1.0, 14.0, 1.0, holonomy=(0.0,))
         with pytest.raises(ConditionAViolation):
             heat_route_crosscheck(g, std_fiber, 0)
-
-
-def test_plus_direction_pairing_vanishes(std_geom):
-    assert rr_plus_direction_diagnostic(std_geom(4.0)) == 0.0
-    assert rr_plus_direction_diagnostic(std_geom(32.0)) == 0.0
 
 
 def test_circle_fiber_totals_are_regularized_sums(circle_fiber):

@@ -1,10 +1,12 @@
 """Property suite over random fibers: the log-domain gluing identity per
-stretch, the symmetries of the assembled log-determinants, and the
-heat-trace deviation and symmetries of the relative trace."""
+stretch, the symmetries and additivity of the assembled log-determinants,
+the heat-trace deviation and symmetries of the relative trace, and the
+closed form of the composite scattering matrix."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,10 +14,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zetaglue.adiabatic import (  # noqa: E402
     _log_abs_deviation,
+    _log_det_half_complement,
     half_fiber_heat_trace,
     relative_heat_trace,
 )
 from zetaglue.glue import GlueGeometry, logdet_grid  # noqa: E402
+from zetaglue.scattering import scattering_matrix  # noqa: E402
 from zetaglue.spectral_core import (  # noqa: E402
     FiberSpectrum,
     fiber_zeta_data,
@@ -88,6 +92,63 @@ def test_holonomy_reflection_invariance(inst):
                     logdet_grid(reflected, fiber, GRID)):
         tol = _tol(a)
         assert all(abs(x - y) <= tol for x, y in zip(_logs(a), _logs(b)))
+
+
+@st.composite
+def finite_fibers(draw):
+    """A finite fiber with 1-300 nonzero modes of multiplicity 1-3, 1-3
+    zero modes, and one phase per zero mode."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    zeros = draw(st.integers(1, 3))
+    mus = sorted({0.1 * 100.0 ** rng.random()
+                  for _ in range(draw(st.integers(1, 300)))})
+    modes = [(mu, rng.randint(1, 3)) for mu in mus]
+    return zeros, modes, tuple(draw(PHASE) for _ in range(zeros))
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_fibers(), finite_fibers(), st.floats(0.5, 3.0),
+       st.floats(0.5, 3.0))
+def test_additivity_over_disjoint_fibers(f, g, a1, a2):
+    # every mode is summed on its own, so the log-determinants of F + G are
+    # the sums of those of F and G up to the same rounding floor as the
+    # gluing identity, taken over the modes of F + G
+    (zf, mf, hf), (zg, mg, hg) = f, g
+    parts = [logdet_grid(GlueGeometry(a1, a2, GRID[0], holonomy=h),
+                         FiberSpectrum.finite([(0.0, z)] + m), GRID)
+             for z, m, h in (f, g)]
+    joined = logdet_grid(GlueGeometry(a1, a2, GRID[0], holonomy=hf + hg),
+                         FiberSpectrum.finite([(0.0, zf + zg)]
+                                              + sorted(mf + mg)), GRID)
+    for asm, a, b in zip(joined, *parts):
+        tol = _tol(asm)
+        assert all(abs(x - (y + z)) <= tol
+                   for x, y, z in zip(_logs(asm), _logs(a), _logs(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(1e-6, 2.0 * math.pi - 1e-6), min_size=1, max_size=6),
+       st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(-0.99, 0.99))
+def test_composite_closed_form(thetas, a1, a2, lam):
+    # per zero mode S1(lam) S2(lam) = e^{i lam (a1 + a2)} diag(e^{i theta},
+    # e^{-i theta}), so det((I - S1(0) S2(0))/2) = prod sin^2(theta_j / 2);
+    # the matrix side is good to a few ulps per mode (its factors
+    # |1 - e^{i theta}|^2 / 4 are sums of squares, with no cancellation)
+    fiber = FiberSpectrum.finite([(0.0, len(thetas)), (1.0, 1)])
+    geom = GlueGeometry(a1, a2, GRID[0], holonomy=tuple(thetas))
+
+    def product(lam):
+        return (scattering_matrix(1, lam, geom, fiber)
+                @ scattering_matrix(2, lam, geom, fiber))
+
+    eye = np.eye(2 * len(thetas))
+    _, log_det = np.linalg.slogdet((eye - product(0.0)) / 2.0)
+    closed = _log_det_half_complement(geom, fiber)
+    assert abs(closed - log_det) <= 1e-15 * (len(thetas) + abs(closed))
+    w = np.exp(1j * np.array(thetas))
+    expect = np.exp(1j * lam * (a1 + a2)) * np.diag(
+        np.stack([w, w.conj()], axis=1).reshape(-1))
+    assert np.abs(product(lam) - expect).max() <= 1e-14
 
 
 @st.composite
