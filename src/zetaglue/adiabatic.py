@@ -374,9 +374,10 @@ class _TwistGroups:
         mu, mult, theta = mode_table(geom, fiber, _modes_through(fiber, mu_max))
         h0 = len(geom.holonomy)
         # table order: zero modes first, then spectral order; mu^2 ascends
-        self.t_min = t_min
-        self.mu2 = np.concatenate([np.zeros(h0), mu * mu])
-        mult = np.concatenate([np.ones(h0), mult])
+        self.t_min, self.fiber = t_min, fiber
+        self.mu = np.concatenate([np.zeros(h0), mu])
+        self.mu2 = self.mu * self.mu
+        mult = self.mult = np.concatenate([np.ones(h0), mult])
         self.log_mult = np.log(mult)
         self.max_log_mult = float(self.log_mult.max(initial=0.0))
         theta = np.concatenate([np.array(geom.holonomy, dtype=float), theta])
@@ -405,6 +406,15 @@ class _TwistGroups:
                 terms.append(weight * (heat_trace_circle(geom.C, theta, 0.0, t)
                                        - k_1 - k_2))
         return math.fsum(terms)
+
+    def half_fiber_trace(self, t: float) -> float:
+        """half_fiber_heat_trace(fiber, t); a finite fiber's is the table's
+        sum mult e^{-t mu^2} over every group, zero modes included."""
+        if self.fiber.kind != "finite":
+            return half_fiber_heat_trace(self.fiber, t)
+        # (-t mu) mu rounds as half_fiber_heat_trace does; -t mu^2 can
+        # differ by |t mu^2| ulps
+        return math.fsum((self.mult * np.exp(-t * self.mu * self.mu)).tolist())
 
     def log_abs_deviation(self, geom: GlueGeometry,
                           t: float) -> tuple[float, float]:
@@ -624,7 +634,7 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
 
     def dev(t: float) -> float:
         return (groups.relative_trace(geom, t)
-                - half_fiber_heat_trace(fiber, t))
+                - groups.half_fiber_trace(t))
 
     i_dev, small_quad_error = quad(
         lambda u: dev(math.exp(u)), math.log(t_lo), math.log(T),

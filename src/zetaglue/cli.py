@@ -295,10 +295,8 @@ def _run_svalues(cfg):
             ratios.extend(svalue_rate_ratios(reports[(which, r_small)],
                                              reports[(which, r_large)]))
     lo, hi = cfg["tolerances"]["rate_low"], cfg["tolerances"]["rate_high"]
-    # vacuously fine when the zero-mode space is empty (no windows at all)
-    rates_ok = all(lo <= r <= hi for r in ratios)
-    if rows and not ratios:
-        rates_ok = False
+    # no pair, no rate: an empty zero-mode space checks nothing
+    rates_ok = bool(ratios) and all(lo <= r <= hi for r in ratios)
     # piece quantization |2 R lambda - k pi| <= c R^{-kappa}
     r_ref = grid[-1]
     c_hat = max(quant_worst.get(("M1", r_ref), 0.0),
@@ -334,10 +332,12 @@ def _run_dn_asymptotics(cfg):
             worst_plus = max(worst_plus, abs(e.value_plus))
     cols = ["R", "piece", "mode", "pairing_minus", "model_matched",
             "match_error", "pairing_plus", "alpha", "matched_sign"]
-    passed = (worst_match <= cfg["tolerances"]["match_err"]
+    # no zero mode, no entry: nothing was checked, and the worst is undefined
+    passed = (bool(rows) and worst_match <= cfg["tolerances"]["match_err"]
               and worst_plus <= cfg["tolerances"]["plus_bound"])
-    summary = {"worst_match_error": worst_match,
-               "worst_plus_pairing": worst_plus, "pass": passed}
+    summary = {"worst_match_error": worst_match if rows else None,
+               "worst_plus_pairing": worst_plus if rows else None,
+               "pass": passed}
     return rows, cols, summary, {}, passed
 
 
@@ -565,6 +565,18 @@ def _provenance_lines(cfg: dict) -> list[str]:
     ]
 
 
+def _strict_json(x):
+    """x with every non-finite float replaced by None, so that it dumps as
+    strict JSON; keys are kept."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return x
+
+
 def _write_csv(path: Path, cfg: dict, cols, rows):
     lines = _provenance_lines(cfg)
     lines.append(",".join(cols))
@@ -596,7 +608,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         },
     }
     (out_dir / "summary.json").write_text(
-        json.dumps(summary_doc, sort_keys=True, indent=2) + "\n")
+        json.dumps(_strict_json(summary_doc), sort_keys=True, indent=2,
+                   allow_nan=False) + "\n")
     if cfg["xy_files"]:
         for series, points in xy.items():
             _write_xy(out_dir / f"{name}_{series}.xy", cfg, points)

@@ -435,6 +435,9 @@ class DNAsymptoticsReport:
     entries: tuple[DNModeAsymptotics, ...]
 
     def ok(self, tol_match: float = 1e-12, tol_plus: float = 1e-14) -> bool:
+        """Every entry within tolerance; False with no entry to check."""
+        if not self.entries:
+            return False
         for e in self.entries:
             if abs(e.value_minus - e.model_matched) > tol_match * max(1.0, e.value_minus):
                 return False

@@ -16,6 +16,7 @@ the regularized first moment used by the gluing code.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -159,7 +160,7 @@ class EigenvalueSeq:
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
         for fam in self.families:
-            if fam.root(fam.start) == 0.0 and self.mu == 0.0:
+            if fam.root(fam.start) ** 2 + self.mu ** 2 == 0.0:
                 raise ValueError(
                     "family produces a zero eigenvalue; "
                     "put kernel elements in kernel_dim instead"
@@ -230,11 +231,38 @@ def hurwitz_zeta_em(s: float, a: float, terms: int = 6) -> float:
     return tot
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """Sum of a float array to math.fsum's accuracy, without a Python loop.
+
+    A pairwise TwoSum cascade (Ogita, Rump and Oishi): the array, padded
+    with zeros to a power of two, is halved level by level, t = a + b,
+    and each pair's rounding error (a - (t - bb)) + (b - bb), bb = t - a,
+    is exact.  Each level's errors are summed in numpy, and one fsum folds
+    those level totals with the last partial.  Only the level sums round,
+    at second order: the result is within an ulp of math.fsum's plus
+    n eps^2 sum |x|, which is math.fsum's value unless the sum cancels
+    nearly all of sum |x|.
+    """
+    a = np.zeros(1 << max(x.size - 1, 0).bit_length())
+    a[:x.size] = x
+    level_errors = []
+    while a.size > 1:
+        lo, hi = a[:a.size // 2], a[a.size // 2:]
+        t = lo + hi
+        bb = t - lo
+        level_errors.append(float(((lo - (t - bb)) + (hi - bb)).sum()))
+        a = t
+    total = math.fsum(level_errors + [float(a[0])])
+    # TwoSum makes nan of an infinite term; fsum's answer stands instead
+    return total if math.isfinite(total) else math.fsum(x.tolist())
+
+
 def _family_zeta(fam: ArithmeticFamily, mu: float, cutoff: int, tail_order: int):
-    """(zeta(0), zeta'(0), tail residual) for one arithmetic family.
+    """(zeta(0), zeta'(0), tail residual, log terms) for one arithmetic family.
 
     Splits at n = cutoff; the tail is the exact Hurwitz continuation of
     (c n + d)^{-2s} with the mu^2 shift expanded binomially to tail_order.
+    The log terms are log lambda_n for n0 <= n < cutoff, unscaled by mult.
     """
     c, d, n0 = fam.slope, fam.offset, fam.start
     N = max(cutoff, n0 + 1)
@@ -244,13 +272,10 @@ def _family_zeta(fam: ArithmeticFamily, mu: float, cutoff: int, tail_order: int)
     ratio = (mu / c) ** 2  # binomial expansion parameter against (c n + d)^2
 
     n = np.arange(n0, N, dtype=float)
-    lam = (c * n + d) ** 2 + mu * mu
-    logs = np.log(lam)
-    partial_logsum = math.fsum(logs)
-    float_noise = 1e-15 * (math.fsum(np.abs(logs)) + abs(math.lgamma(a)) + 1.0)
+    logs = np.log((c * n + d) ** 2 + mu * mu)
 
     zeta0 = (N - n0) + (0.5 - a)
-    zprime = -partial_logsum
+    zprime = -_exact_sum(logs)
     zprime += -2.0 * math.log(c) * (0.5 - a)
     zprime += 2.0 * (math.lgamma(a) - 0.5 * LOG_2PI)
     for j in range(1, tail_order + 1):
@@ -262,8 +287,8 @@ def _family_zeta(fam: ArithmeticFamily, mu: float, cutoff: int, tail_order: int)
         )
     else:
         analytic_tail = 0.0
-    return (fam.mult * zeta0, fam.mult * zprime,
-            fam.mult * analytic_tail, fam.mult * float_noise)
+    return (fam.mult * zeta0, fam.mult * zprime, fam.mult * analytic_tail,
+            logs)
 
 
 def tail_residual_bound(seq: EigenvalueSeq, cutoff: int = 10_000,
@@ -271,12 +296,17 @@ def tail_residual_bound(seq: EigenvalueSeq, cutoff: int = 10_000,
     """Residual bound of zeta_from_sequence at this cutoff/order.
 
     Analytic tail of the truncated binomial expansion plus a rounding-noise
-    allowance for the partial sums.
+    allowance for the partial sums, 1e-15 (sum |log lambda_n| +
+    |log Gamma(a)| + 1) per family and unit multiplicity, a = cutoff + d/c.
+    Only this bound computes the allowance, and as a bound it takes a plain
+    numpy sum.
     """
     total = 0.0
     for fam in seq.families:
-        _, _, tail, noise = _family_zeta(fam, seq.mu, cutoff, tail_order)
-        total += tail + noise
+        _, _, tail, logs = _family_zeta(fam, seq.mu, cutoff, tail_order)
+        a = fam.start + logs.size + fam.offset / fam.slope
+        noise = 1e-15 * (float(np.abs(logs).sum()) + abs(math.lgamma(a)) + 1.0)
+        total += tail + fam.mult * noise
     return total
 
 
@@ -285,18 +315,22 @@ def zeta_from_sequence(seq: EigenvalueSeq, cutoff: int = 10_000,
     """zeta(0) and zeta'(0) of an eigenvalue sequence.
 
     Truncated eigenvalue sum below `cutoff` indices per family plus the
-    analytic tail of order `tail_order`.  Deterministic for fixed inputs.
-    Raises TailNotConverged when the analytic tail (the part the cutoff
-    controls) exceeds tail_tol.
+    analytic tail of order `tail_order`.  Each distinct family is evaluated
+    once and scaled by how often it occurs (zeta is additive); its partial
+    sum of log lambda_n is an error-free pairwise sum in numpy, which
+    rounds only at second order (see _exact_sum).  The rounding-noise
+    allowance is left to tail_residual_bound.  Deterministic for fixed
+    inputs.  Raises TailNotConverged when the analytic tail (the part the
+    cutoff controls) exceeds tail_tol.
     """
     if cutoff < 100:
         raise ValueError("cutoff must be >= 100")
     z0 = zp = tail = 0.0
-    for fam in seq.families:
+    for fam, count in Counter(seq.families).items():
         f0, fp, ft, _ = _family_zeta(fam, seq.mu, cutoff, tail_order)
-        z0 += f0
-        zp += fp
-        tail += ft
+        z0 += count * f0
+        zp += count * fp
+        tail += count * ft
     if tail > tail_tol:
         raise TailNotConverged(tail, cutoff)
     return ZetaData.from_zeta(z0, zp, seq.kernel_dim)

@@ -240,3 +240,44 @@ def test_split_summary_records_quadrature_errors(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     for key in ("small_quad_error", "large_quad_error"):
         assert 0.0 < summary["summary"][key] < 1e-9
+
+
+@pytest.mark.parametrize("experiment", ["svalues", "dn-asymptotics"])
+def test_no_zero_mode_fiber_fails(tmp_path, capsys, experiment):
+    # no zero mode: no small eigenvalue and no pairing to check, so no pass
+    cfg = {"experiment": experiment,
+           "fiber": {"type": "finite", "modes": [[1.0, 1]]},
+           "geometry": {"a1": 1.0, "a2": 2.0, "holonomy": []},
+           "out_dir": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    assert f"{experiment}: FAILED" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["passed"] is False
+    csv = (tmp_path / "out" / f"{experiment}.csv").read_text().splitlines()
+    assert len(csv[4:]) == 0
+
+
+def _load_strict(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_wide_fiber_summary_is_strict_json(tmp_path):
+    # the predicted limit overflows to inf: null, with the key kept
+    cfg = {"experiment": "theorem-dn",
+           "fiber": {"type": "finite", "modes": WIDE_MODES},
+           "geometry": {"a1": 1.0, "a2": 2.0, "holonomy": [math.pi / 2]},
+           "out_dir": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    summary = _load_strict(tmp_path / "out" / "summary.json")["summary"]
+    assert "predicted_limit" in summary and summary["predicted_limit"] is None
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_every_summary_is_strict_json(tmp_path, experiment):
+    cfg = dict(STD_CONFIG, experiment=experiment,
+               out_dir=str(tmp_path / "out"))
+    main(["run", str(write_config(tmp_path, cfg))])
+    doc = _load_strict(tmp_path / "out" / "summary.json")
+    assert doc["experiment"] == experiment

@@ -13,6 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zetaglue.adiabatic import (  # noqa: E402
+    _TwistGroups,
     _log_abs_deviation,
     _log_det_half_complement,
     half_fiber_heat_trace,
@@ -149,6 +150,22 @@ def test_composite_closed_form(thetas, a1, a2, lam):
     expect = np.exp(1j * lam * (a1 + a2)) * np.diag(
         np.stack([w, w.conj()], axis=1).reshape(-1))
     assert np.abs(product(lam) - expect).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.floats(-3.0, 1.0))
+def test_table_half_trace_matches_generator(inst, log_t):
+    # the split suite reads the half cross-section trace off the twist
+    # table; the public function keeps its per-mode fsum
+    fiber, geom = inst
+    t = 10.0 ** log_t
+    bare = FiberSpectrum.finite(fiber.modes[1:])   # the same, no zero modes
+    for fib, g in ((fiber, geom),
+                   (bare, GlueGeometry(geom.a1, geom.a2, geom.R, ()))):
+        ref = half_fiber_heat_trace(fib, t)
+        if t * fib.min_nonzero ** 2 <= 700.0 or fib.h0:
+            got = _TwistGroups(g, fib, t).half_fiber_trace(t)
+            assert abs(got - ref) <= 1e-14 * ref
 
 
 @st.composite

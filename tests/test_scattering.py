@@ -240,6 +240,12 @@ class TestDNAsymptotics:
         assert [e.alpha_derived for e in rep.entries] == [-g.a1, -g.a2]
         assert rep.ok()
 
+    def test_no_zero_mode_is_not_ok(self):
+        # no zero mode, no entry: nothing was checked
+        rep = dn_zero_mode_asymptotics(
+            GlueGeometry(1.0, 2.0, 10.0), FiberSpectrum.finite([(1.0, 1)]))
+        assert rep.entries == () and not rep.ok()
+
     def test_leading_term(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 1000.0, holonomy=(math.pi / 2,))
         rep = dn_zero_mode_asymptotics(g, std_fiber)

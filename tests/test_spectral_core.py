@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from zetaglue.base1d import (
@@ -16,6 +17,7 @@ from zetaglue.spectral_core import (
     HeatCoefficientMismatch,
     TailNotConverged,
     ZetaData,
+    _exact_sum,
     fiber_scaled_sqrt_logdet,
     fiber_sqrt_zeta_at_minus_one,
     fiber_sqrt_zeta_data,
@@ -28,6 +30,13 @@ from zetaglue.spectral_core import (
     zeta_from_sequence,
     zeta_via_heat,
 )
+from zetaglue.glue import GlueGeometry
+from zetaglue.scattering import model_identities
+
+try:
+    from hypothesis import assume, given, strategies as st
+except ImportError:  # the property tests at the end need hypothesis
+    given = None
 
 
 def dirichlet_seq(L, mu=0.0):
@@ -132,6 +141,9 @@ class TestEigenvalueSeq:
         # with a transverse shift the same family is fine: lowest entry mu^2
         seq = EigenvalueSeq((ArithmeticFamily(1.0, 0.0, 0),), mu=2.0)
         assert seq.nth(0) == 4.0
+        # a root whose square underflows is a zero eigenvalue too
+        with pytest.raises(ValueError):
+            EigenvalueSeq((ArithmeticFamily(1.0, 1e-200, 0),), mu=1e-200)
         with pytest.raises(ValueError):
             ArithmeticFamily(1.0, -2.0, 0)  # negative root
 
@@ -317,3 +329,123 @@ def test_zeta_data_invariant():
         ZetaData(1.0, 2.0, 3.0, 0)
     with pytest.raises(ValueError):
         ZetaData(1.0, 2.0, -2.0, -1)
+
+
+# ---------------------------------------------------------------------------
+# Exact log-sum and the distinct-tower walk of zeta_from_sequence
+# ---------------------------------------------------------------------------
+
+EPS = 2.0 ** -53
+
+
+def _sum_terms(rng, n, kind):
+    """n terms of one kind: a log tower, mixed signs over six decades,
+    near-cancelling pairs (x, -x (1 + 1e-15 g)), Cauchy draws, or exactly
+    cancelling pairs over twenty decades plus one small term."""
+    if kind == "tower":
+        roots = rng.uniform(0.5, 4.0) * np.arange(n) + rng.uniform(0.1, 3.0)
+        return np.log(roots ** 2 + rng.uniform(0.0, 3.0))
+    if kind == "mixed":
+        return (rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+                * 10.0 ** rng.integers(-3, 4, n))
+    if kind == "cauchy":
+        return rng.standard_cauchy(n)
+    decades = (-3, 4) if kind == "near" else (-8, 12)
+    m = n // 2 + 1
+    y = rng.standard_normal(m) * 10.0 ** rng.integers(*decades, m)
+    if kind == "near":
+        pair = -y * (1.0 + 1e-15 * rng.standard_normal(y.size))
+        x = np.concatenate([y, pair])[:n]
+    else:
+        x = np.concatenate([y, -y, [1e-3 * rng.standard_normal()]])[:n]
+    rng.shuffle(x)
+    return x
+
+
+# (h0, theta) -> (numeric_gap_quarter, numeric_gap_cbar), computed with one
+# math.fsum per occurrence of a family; the holonomy repeats theta h0 times
+MODEL_GAPS_FSUM = {
+    (1, math.pi / 3): (5.820721682425756e-11, 6.479394798475369e-11),
+    (1, math.pi / 2): (3.239675194777192e-11, 6.479394798475369e-11),
+    (1, math.pi): (6.586287071286279e-12, 6.479394798475369e-11),
+    (2, math.pi / 3): (1.1641443364851511e-10, 1.2958789596950737e-10),
+    (2, math.pi / 2): (6.479350389554384e-11, 1.2958789596950737e-10),
+    (2, math.pi): (1.3172574142572557e-11, 1.2958789596950737e-10),
+    (3, math.pi / 3): (1.7462165047277267e-10, 1.943813998650512e-10),
+    (3, math.pi / 2): (9.71898117541059e-11, 1.943813998650512e-10),
+    (3, math.pi): (1.9758417124648986e-11, 1.943813998650512e-10),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MODEL_GAPS_FSUM))
+def test_model_identities_gaps_unchanged(key):
+    h0, theta = key
+    geom = GlueGeometry(1.0, 2.0, 10.0, holonomy=(theta,) * h0)
+    rep = model_identities(geom, FiberSpectrum.finite([(0.0, h0), (1.0, 1)]))
+    # the quarter and reflected log-dets are ~h0 log 16: within 2 ulps
+    for got, ref in zip((rep.numeric_gap_quarter, rep.numeric_gap_cbar),
+                        MODEL_GAPS_FSUM[key]):
+        assert abs(got - ref) <= 2 * math.ulp(8.0 * h0)
+
+
+# tail_residual_bound with the noise allowance summed by math.fsum
+TAIL_BOUND_FSUM = [
+    (dirichlet_seq(3.0), 1000, 1.7808804228795762e-11),
+    (dirichlet_seq(3.0), 10000, 2.472224121977586e-10),
+    (dirichlet_seq(2.0, mu=1.0), 1000, 1.8619518329500514e-11),
+    (dirichlet_seq(2.0, mu=1.0), 10000, 2.553314986093672e-10),
+    (circle_seq(5.0, math.pi, mu=2.0), 1000, 3.635294229529608e-11),
+    (circle_seq(5.0, math.pi, mu=2.0), 10000, 5.017437381643937e-10),
+    (EigenvalueSeq(circle_seq(10.0, math.pi / 2).families * 3, mu=0.5), 1000,
+     1.0074334335547617e-10),
+    (EigenvalueSeq(circle_seq(10.0, math.pi / 2).families * 3, mu=0.5), 10000,
+     1.4220558267174692e-09),
+]
+
+
+@pytest.mark.parametrize("seq,cutoff,ref", TAIL_BOUND_FSUM)
+def test_tail_residual_bound_unchanged(seq, cutoff, ref):
+    assert abs(tail_residual_bound(seq, cutoff=cutoff) - ref) <= 1e-12 * ref
+
+
+def test_exact_sum_edge_sizes():
+    assert _exact_sum(np.array([])) == 0.0
+    assert _exact_sum(np.array([2.5])) == 2.5
+    x = np.array([1e16, 1.0, -1e16, 1.0])
+    assert _exact_sum(x) == math.fsum(x.tolist()) == 2.0
+    with np.errstate(invalid="ignore"):   # the cascade meets inf - inf
+        assert _exact_sum(np.array([1.0, -math.inf, 3.0])) == -math.inf
+
+
+if given is not None:
+    SUM_KINDS = ("tower", "mixed", "near", "cauchy")
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20000),
+           st.sampled_from(SUM_KINDS))
+    def test_exact_sum_matches_fsum(seed, n, kind):
+        # worst seen over 8000 arrays of these kinds, 1-20000 terms: 0 ulps
+        x = _sum_terms(np.random.default_rng(seed), n, kind)
+        ref = math.fsum(x.tolist())
+        assert abs(_exact_sum(x) - ref) <= math.ulp(ref)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 20000))
+    def test_exact_sum_bound_under_cancellation(seed, n):
+        # the level sums round at second order; exact cancellation over
+        # twenty decades shows it (worst seen 3e5 ulps, 0.003 of the bound)
+        x = _sum_terms(np.random.default_rng(seed), n, "exact")
+        ref = math.fsum(x.tolist())
+        bound = math.ulp(ref) + n * EPS ** 2 * float(np.abs(x).sum())
+        assert abs(_exact_sum(x) - ref) <= bound
+
+    @given(st.floats(0.1, 5.0), st.floats(0.0, 3.0), st.integers(0, 2),
+           st.floats(0.0, 3.0), st.integers(1, 4))
+    def test_repeated_tower_equals_multiplicity(slope, offset, start, mu, k):
+        # no zero eigenvalue, also none by underflow
+        assume((slope * start + offset) ** 2 + mu ** 2 > 0.0)
+        fam = ArithmeticFamily(slope, offset, start)
+        repeated = zeta_from_sequence(EigenvalueSeq((fam,) * k, mu=mu))
+        merged = zeta_from_sequence(EigenvalueSeq(
+            (ArithmeticFamily(slope, offset, start, mult=k),), mu=mu))
+        for a, b in ((repeated.zeta_at_zero, merged.zeta_at_zero),
+                     (repeated.zeta_prime_at_zero, merged.zeta_prime_at_zero)):
+            assert abs(a - b) <= 1e-15 * abs(b)
