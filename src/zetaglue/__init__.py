@@ -8,6 +8,8 @@ Library layout:
     scattering    -- scattering matrices, model operators, small eigenvalues
     adiabatic     -- stretch sweeps, limit extraction, verification suites
     cli           -- configuration-driven experiment runner
+    oracles       -- independent numerical oracles that only tests call;
+                     not imported here, since it loads scipy
 """
 
 from .spectral_core import (
@@ -25,7 +27,6 @@ from .spectral_core import (
     heat_trace_dirichlet,
     heat_trace_mode,
     zeta_from_sequence,
-    zeta_via_heat,
 )
 from .base1d import (
     Circle,
@@ -35,7 +36,6 @@ from .base1d import (
     dn_block,
     logdet_circle_mode,
     logdet_dirichlet_mode,
-    oracle_logdet_truncated,
 )
 from .glue import (
     AssembledDeterminants,
@@ -43,7 +43,6 @@ from .glue import (
     GlueGeometry,
     bfk_ratio,
     condition_A_check,
-    heat_route_crosscheck,
     logdet_closed,
     trace_perp_inverse_diff,
 )
@@ -52,6 +51,7 @@ from .scattering import (
     det_L_identity,
     dn_zero_mode_asymptotics,
     model_identities,
+    model_identities_over,
     model_logdet,
     model_spectrum,
     scattering_matrix,

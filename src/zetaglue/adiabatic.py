@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import exp1
 
 from .glue import (GlueGeometry, condition_A_check, logdet_closed, logdet_grid,
                    mode_table)
@@ -610,6 +608,12 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     counterterm h0 (gamma - eps log R).  Their sum is compared against the
     closed-form log ratio, which it must reproduce up to quadrature error.
     """
+    # imported here: the other experiments run without loading scipy
+    from scipy.integrate import quad
+    from scipy.special import exp1
+
+    if not math.isfinite(epsilon):  # a NaN window edge stalls the quadrature
+        raise ValueError("epsilon must be finite")
     condition_A_check(geom, fiber).raise_if_failed()
     R = geom.R
     h0 = fiber.h0

@@ -8,9 +8,9 @@ operator -d^2/du^2 + mu^2 both have elementary determinants
     interval: 2 sinh(mu L) / mu          (2L at mu = 0)
 
 and the interval has an explicit 2x2 boundary response (Dirichlet-to-
-Neumann) block per transverse mode.  An independent truncation oracle
-recomputes the determinants through the generic zeta machinery; it exists
-for tests and takes no shortcuts through these closed forms.
+Neumann) block per transverse mode.  The independent truncation oracle
+that recomputes the determinants through the generic zeta machinery is
+zetaglue.oracles.oracle_logdet_truncated.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 from .spectral_core import (
     ArithmeticFamily,
     EigenvalueSeq,
-    tail_residual_bound,
-    zeta_from_sequence,
 )
 
 __all__ = [
@@ -35,8 +33,6 @@ __all__ = [
     "logdet_circle_mode",
     "logdet_dirichlet_mode",
     "dn_block",
-    "oracle_logdet_truncated",
-    "heat_coeffs_for_mode",
 ]
 
 _OVERFLOW_ARG = 30.0  # switch to exponential-form rewrites past this
@@ -108,29 +104,6 @@ class ModeProblem:
         from .spectral_core import heat_trace_mode
 
         return heat_trace_mode(self, t)
-
-
-def heat_coeffs_for_mode(problem: ModeProblem, order: int = 8) -> list[float]:
-    """Small-time trace coefficients a_k with Tr ~ sum a_k t^{(k-1)/2}.
-
-    The image-sum form of either base trace is (length-term) * exp(-mu^2 t)
-    up to exponentially small corrections, so the ladder is the exponential
-    series distributed over even/odd slots.
-    """
-    base = problem.base
-    mu2 = problem.mu ** 2
-    cs = [0.0] * (order + 1)
-    if isinstance(base, Circle):
-        lead, const = base.C / math.sqrt(4.0 * math.pi), 0.0
-    else:
-        lead, const = base.L / math.sqrt(4.0 * math.pi), -0.5
-    for j in range(0, (order + 2) // 2):
-        coeff = (-mu2) ** j / math.factorial(j)
-        if 2 * j <= order:
-            cs[2 * j] = lead * coeff
-        if 2 * j + 1 <= order:
-            cs[2 * j + 1] = const * coeff
-    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +190,3 @@ def dn_block(L: float, mu: float, w: complex = 1.0) -> DNBlock:
             off = mu / math.sinh(x)
     m = np.array([[diag, -off * w.conjugate()], [-off * w, diag]], dtype=complex)
     return DNBlock(matrix=m, mu=mu, L=L, w=w)
-
-
-# ---------------------------------------------------------------------------
-# Independent truncation oracle (test harness only)
-# ---------------------------------------------------------------------------
-
-def oracle_logdet_truncated(problem: ModeProblem, cutoff: int = 10_000,
-                            tail_order: int = 4) -> tuple[float, float]:
-    """log det by explicit eigenvalue enumeration plus analytic tail.
-
-    Returns (log_det, residual bound).  Exists as an independent check of
-    the closed forms; production paths never call it.
-    """
-    if cutoff < 100:
-        raise ValueError("cutoff must be >= 100")
-    seq = problem.eigenvalue_seq()
-    data = zeta_from_sequence(seq, cutoff=cutoff, tail_order=tail_order,
-                              tail_tol=math.inf)
-    resid = tail_residual_bound(seq, cutoff=cutoff, tail_order=tail_order)
-    return data.log_det, resid

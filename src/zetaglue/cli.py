@@ -34,7 +34,7 @@ from .scattering import (
     dn_zero_mode_asymptotics,
     model_logdet,
     model_zeta_single_phase,
-    model_identities,
+    model_identities_over,
     svalue_rate_ratios,
     svalue_report,
 )
@@ -53,6 +53,25 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
+
+
+def _number(v, path: str, message: str, valid=lambda x: True) -> float:
+    """v as a float if it is a finite number that passes valid, else a
+    ConfigError naming path.  json.loads accepts NaN and Infinity, and NaN
+    slips past a test like `v <= 0`; an integer past the float range
+    overflows float().  All of them stop here, before any computation."""
+    if isinstance(v, (int, float)):
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and valid(x):
+            return x
+    raise ConfigError(path, message)
+
+
+def _positive(x: float) -> bool:
+    return x > 0
 
 
 def _require_keys(obj: dict, allowed: set[str], path: str):
@@ -75,23 +94,22 @@ def _parse_fiber(obj, path="fiber") -> FiberSpectrum:
             if (not isinstance(entry, list) or len(entry) != 2):
                 raise ConfigError(f"{path}.modes[{i}]", "must be [mu, mult]")
             mu, mult = entry
-            if not isinstance(mu, (int, float)) or mu < 0:
-                raise ConfigError(f"{path}.modes[{i}][0]",
-                                  "mu must be a nonnegative number")
+            mu = _number(mu, f"{path}.modes[{i}][0]",
+                         "mu must be a finite nonnegative number",
+                         lambda x: x >= 0)
             if not isinstance(mult, int) or mult < 1:
                 raise ConfigError(f"{path}.modes[{i}][1]",
                                   "mult must be a positive integer")
-            pairs.append((float(mu), mult))
+            pairs.append((mu, mult))
         try:
             return FiberSpectrum.finite(pairs)
         except ValueError as exc:
             raise ConfigError(f"{path}.modes", str(exc)) from exc
     if kind == "circle":
         _require_keys(obj, {"type", "circumference"}, path)
-        circ = obj.get("circumference")
-        if not isinstance(circ, (int, float)) or circ <= 0:
-            raise ConfigError(f"{path}.circumference", "must be positive")
-        return FiberSpectrum.circle(float(circ))
+        circ = _number(obj.get("circumference"), f"{path}.circumference",
+                       "must be a finite positive number", _positive)
+        return FiberSpectrum.circle(circ)
     raise ConfigError(f"{path}.type", "must be 'finite' or 'circle'")
 
 
@@ -99,24 +117,22 @@ def _parse_geometry(obj, fiber: FiberSpectrum, path="geometry"):
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be an object")
     _require_keys(obj, {"a1", "a2", "holonomy"}, path)
-    for key in ("a1", "a2"):
-        v = obj.get(key)
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"{path}.{key}", "must be a positive number")
+    a1, a2 = (_number(obj.get(key), f"{path}.{key}",
+                      "must be a finite positive number", _positive)
+              for key in ("a1", "a2"))
     hol = obj.get("holonomy", [])
     if not isinstance(hol, list):
         raise ConfigError(f"{path}.holonomy", "must be a list of phases")
-    for i, t in enumerate(hol):
-        if not isinstance(t, (int, float)) or not (0.0 <= t < 2 * math.pi):
-            raise ConfigError(f"{path}.holonomy[{i}]",
-                              "phase must lie in [0, 2pi)")
+    hol = tuple(_number(t, f"{path}.holonomy[{i}]",
+                        "phase must lie in [0, 2pi)",
+                        lambda x: 0.0 <= x < 2 * math.pi)
+                for i, t in enumerate(hol))
     if len(hol) != fiber.h0:
         raise ConfigError(f"{path}.holonomy",
                           f"needs one phase per zero mode ({fiber.h0})")
 
     def make(R: float) -> GlueGeometry:
-        return GlueGeometry(float(obj["a1"]), float(obj["a2"]), R,
-                            holonomy=tuple(float(t) for t in hol))
+        return GlueGeometry(a1, a2, R, holonomy=hol)
 
     return make
 
@@ -128,11 +144,9 @@ _TOP_KEYS = {"experiment", "fiber", "geometry", "r_grid", "t_grid", "thetas",
 def _positive_grid(obj, path: str) -> list[float]:
     if not isinstance(obj, list) or not obj:
         raise ConfigError(path, "must be a nonempty list")
-    vals = []
-    for i, v in enumerate(obj):
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"{path}[{i}]", "must be a positive number")
-        vals.append(float(v))
+    vals = [_number(v, f"{path}[{i}]", "must be a finite positive number",
+                    _positive)
+            for i, v in enumerate(obj)]
     if sorted(vals) != vals:
         raise ConfigError(path, "must be increasing")
     return vals
@@ -169,8 +183,10 @@ def resolve_config(raw: dict) -> dict:
         },
         "r_grid": _positive_grid(raw.get("r_grid", list(reg["r_grid"])),
                                  "$.r_grid"),
-        "kappa": float(raw.get("kappa", 0.75)),
-        "epsilon": float(raw.get("epsilon", 0.25)),
+        "kappa": _number(raw.get("kappa", 0.75), "$.kappa",
+                         "must be a finite number"),
+        "epsilon": _number(raw.get("epsilon", 0.25), "$.epsilon",
+                           "must be a finite number"),
         "out_dir": str(raw.get("out_dir", "out")),
         "xy_files": bool(raw.get("xy_files", True)),
     }
@@ -193,9 +209,8 @@ def resolve_config(raw: dict) -> dict:
     for key, v in raw_tol.items():
         if key not in tol:
             raise ConfigError(f"$.tolerances.{key}", "unknown tolerance")
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"$.tolerances.{key}", "must be positive")
-        tol[key] = float(v)
+        tol[key] = _number(v, f"$.tolerances.{key}",
+                           "must be a finite positive number", _positive)
     resolved["tolerances"] = tol
     if name == "trace-perp" and not math.isfinite(fiber.min_nonzero):
         raise ConfigError("$.fiber", "trace-perp needs a nonzero mode")
@@ -388,10 +403,11 @@ def _run_model_identities(cfg):
     geom0 = make(cfg["r_grid"][0])
     rows = []
     worst_exact, worst_numeric, worst_detl = 0.0, 0.0, 0.0
-    for theta in cfg["thetas"]:
-        hol = tuple([theta] * fiber.h0)
-        geom = GlueGeometry(geom0.a1, geom0.a2, geom0.R, holonomy=hol)
-        mi = model_identities(geom, fiber)
+    geoms = [GlueGeometry(geom0.a1, geom0.a2, geom0.R,
+                          holonomy=tuple([theta] * fiber.h0))
+             for theta in cfg["thetas"]]
+    for theta, geom, mi in zip(cfg["thetas"], geoms,
+                               model_identities_over(geoms, fiber)):
         dl = det_L_identity(geom)
         single = abs(model_zeta_single_phase(theta).log_det
                      - model_logdet([theta]))
@@ -515,7 +531,7 @@ EXPERIMENTS = {
         "primary_tol": "numeric_gap",
         "description": "model-operator determinant identities",
         "claim": "det = 4^d prod sin^2(a/2); quarter/reflected identities hold",
-        "entry": "scattering.model_identities",
+        "entry": "scattering.model_identities_over",
         "runner": _run_model_identities,
         "r_grid": (10.0,),
         "tolerances": {"exact_gap": 1e-12, "numeric_gap": 1e-8,
@@ -655,13 +671,15 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(raw)
         if args.rmax is not None:
-            kept = [R for R in cfg["r_grid"] if R <= args.rmax]
+            rmax = _number(args.rmax, "--rmax", "must be a finite number")
+            kept = [R for R in cfg["r_grid"] if R <= rmax]
             if not kept:
                 raise ConfigError("$.r_grid", "empty after --rmax filter")
             cfg["r_grid"] = kept
         if args.tol is not None:
             primary = EXPERIMENTS[cfg["experiment"]]["primary_tol"]
-            cfg["tolerances"][primary] = float(args.tol)
+            cfg["tolerances"][primary] = _number(
+                args.tol, "--tol", "must be a finite positive number", _positive)
     except ConfigError as exc:
         print(f"zetaglue: config error: {exc}", file=sys.stderr)
         return 2

@@ -22,14 +22,12 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import quad
 
-from .base1d import _OVERFLOW_ARG, Circle, DirichletInterval, ModeProblem
+from .base1d import _OVERFLOW_ARG
 from .spectral_core import (
     FiberSpectrum,
     fiber_sqrt_zeta_at_minus_one,
     fiber_sqrt_zeta_data,
-    heat_trace_mode,
 )
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "logdet_closed",
     "bfk_ratio",
     "trace_perp_inverse_diff",
-    "heat_route_crosscheck",
 ]
 
 
@@ -69,8 +66,10 @@ class GlueGeometry:
     nonzero_phases: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.a1 <= 0 or self.a2 <= 0 or self.R <= 0:
-            raise ValueError("a1, a2, R must be positive")
+        # chained, so that NaN fails like 0 and inf (NaN <= 0 is False)
+        if not (0.0 < self.a1 < math.inf and 0.0 < self.a2 < math.inf
+                and 0.0 < self.R < math.inf):
+            raise ValueError("a1, a2, R must be finite and positive")
         object.__setattr__(self, "holonomy", tuple(float(t) for t in self.holonomy))
         for t in self.holonomy:
             if not (0.0 <= t < 2.0 * math.pi):
@@ -265,8 +264,8 @@ def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
     stopped it (RuntimeError: no convergence; ValueError: non-finite)."""
     condition_A_check(geom, fiber).raise_if_failed()
     Rs = np.asarray(Rs, dtype=float)
-    if np.any(Rs <= 0):
-        raise ValueError("a1, a2, R must be positive")
+    if not np.all(np.isfinite(Rs) & (Rs > 0)):
+        raise ValueError("a1, a2, R must be finite and positive")
     L1, L2 = geom.a1 + 2.0 * Rs, geom.a2 + 2.0 * Rs
     C = geom.a1 + geom.a2 + 4.0 * Rs
     h_Y = 2 * fiber.h0
@@ -382,93 +381,3 @@ def trace_perp_inverse_diff(geom: GlueGeometry, fiber: FiberSpectrum,
         n = int(reach * fiber.circumference / (2.0 * math.pi)) + 3
         _, _, (total,) = _scan_circle(geom, fiber, terms, n)
     return math.fsum(total.tolist())
-
-
-@dataclass(frozen=True)
-class CrosscheckEntry:
-    problem: str
-    eigen_sum: float
-    heat_integral: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.eigen_sum - self.heat_integral)
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    entries: tuple[CrosscheckEntry, ...]
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return all(e.gap <= self.tol * max(1.0, abs(e.eigen_sum))
-                   for e in self.entries)
-
-
-def heat_route_crosscheck(geom: GlueGeometry, fiber: FiberSpectrum,
-                          mode_index: int, tol: float = 1e-8) -> CrosscheckReport:
-    """Inverse trace of one mode, two ways: eigenvalue sum with an
-    Euler-Maclaurin tail versus the time-integrated heat trace.
-
-    mode_index counts zero modes first (one per holonomy phase), then
-    nonzero modes in spectral order.  The selected mode must be
-    kernel-free on all three base problems, which condition A guarantees.
-    """
-    if mode_index < fiber.h0:
-        mu = 0.0
-        theta = geom.holonomy[mode_index]
-        if theta == 0.0:
-            raise ConditionAViolation("selected mode has a kernel")
-    else:
-        k = mode_index - fiber.h0
-        mus, _, thetas = mode_table(geom, fiber, k + 1)
-        mu, theta = float(mus[k]), float(thetas[k])
-    problems = (
-        ("closed", ModeProblem(mu, Circle(geom.C, theta))),
-        ("piece1", ModeProblem(mu, DirichletInterval(geom.L1))),
-        ("piece2", ModeProblem(mu, DirichletInterval(geom.L2))),
-    )
-    entries = []
-    for name, prob in problems:
-        a = _inverse_trace_eigen(prob)
-        b = _inverse_trace_heat(prob)
-        entries.append(CrosscheckEntry(name, a, b))
-    return CrosscheckReport(tuple(entries), tol)
-
-
-def _inverse_trace_eigen(problem: ModeProblem, cutoff: int = 20_000) -> float:
-    """Sum of reciprocal eigenvalues: truncated sum + Euler-Maclaurin tail."""
-    seq = problem.eigenvalue_seq()
-    if seq.kernel_dim:
-        raise ConditionAViolation("selected mode has a kernel")
-    mu = seq.mu
-    total: list[float] = []
-    for fam in seq.families:
-        c, d, n0 = fam.slope, fam.offset, fam.start
-        n = np.arange(n0, cutoff, dtype=float)
-        vals = 1.0 / ((c * n + d) ** 2 + mu * mu)
-        total.append(fam.mult * math.fsum(vals))
-
-        def f(x: float) -> float:
-            return 1.0 / ((c * x + d) ** 2 + mu * mu)
-
-        N = float(cutoff)
-        if mu > 0:
-            tail_int = (math.pi / 2.0 - math.atan((c * N + d) / mu)) / (c * mu)
-        else:
-            tail_int = 1.0 / (c * (c * N + d))
-        fp = -2.0 * c * (c * N + d) / ((c * N + d) ** 2 + mu * mu) ** 2
-        total.append(fam.mult * (tail_int + 0.5 * f(N) - fp / 12.0))
-    return math.fsum(total)
-
-
-def _inverse_trace_heat(problem: ModeProblem) -> float:
-    """Integral over time of the heat trace (resolvent at zero)."""
-    lam_min = problem.eigenvalue_seq().nth(0)
-    t_hi = 60.0 / lam_min
-    i1, _ = quad(lambda t: heat_trace_mode(problem, t), 0.0, 1.0,
-                 epsabs=1e-12, epsrel=1e-11, limit=200)
-    i2, _ = quad(lambda u: heat_trace_mode(problem, math.exp(u)) * math.exp(u),
-                 0.0, math.log(t_hi), epsabs=1e-12, epsrel=1e-11, limit=400)
-    return i1 + i2

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "model_zeta_quarter_c12",
     "model_zeta_cbar_star",
     "model_identities",
+    "model_identities_over",
     "svalues_exact",
     "svalue_match",
     "svalue_report",
@@ -112,6 +114,8 @@ def model_spectrum(alphas, count: int) -> np.ndarray:
 
 def model_positive_roots(alphas, root_max: float) -> list[float]:
     """Positive square roots |pi k + alpha/2| <= root_max, all branches."""
+    if not math.isfinite(root_max):  # the scan would never stop
+        raise ValueError("root_max must be finite")
     roots = []
     for alpha in alphas:
         k = 0
@@ -227,37 +231,52 @@ def model_identities(geom: GlueGeometry, fiber: FiberSpectrum) -> ModelIdentitie
     matrices, so the closed form of the model side is checked against it;
     the kernel-excluded det of each reflected piece model equals 2^{2 h}.
     """
-    condition_A_check(geom, fiber).raise_if_failed()
+    (report,) = model_identities_over((geom,), fiber)
+    return report
+
+
+def model_identities_over(geoms: Sequence[GlueGeometry], fiber: FiberSpectrum
+                          ) -> tuple[ModelIdentitiesReport, ...]:
+    """model_identities for each geometry in geoms.
+
+    The reflected piece models depend on the number of zero modes only, so
+    their side of the identities, truncated-zeta oracle included, is
+    evaluated once for all geometries.
+    """
+    for geom in geoms:
+        condition_A_check(geom, fiber).raise_if_failed()
+    if not geoms:
+        return ()
     h_Y = 2 * fiber.h0
-    u0 = _piece_matrix(1, 0.0, geom) @ _piece_matrix(2, 0.0, geom)
-    d_half = np.linalg.det((np.eye(h_Y) - u0) / 2.0)
-    d_half = float(d_half.real)
-
-    alphas = []
-    for theta in geom.holonomy:
-        alphas.extend([theta, TWO_PI - theta])
-    # quarter scaling is determinant-neutral: the tower has zeta(0) = 0
-    log_quarter = model_logdet(alphas)
-    log_rhs_quarter = 2.0 * h_Y * math.log(2.0) + 2.0 * math.log(abs(d_half))
-
-    cbar_alphas = []
-    for _ in geom.holonomy:
-        cbar_alphas.extend([0.0, math.pi])
-    log_cbar, kernel = model_logdet_star(cbar_alphas)
+    log_cbar, kernel = model_logdet_star([0.0, math.pi] * fiber.h0)
     log_rhs_cbar = 2.0 * h_Y * math.log(2.0)
     assert kernel == fiber.h0
+    numeric_gap_cbar = abs(model_zeta_cbar_star(geoms[0]).log_det - log_cbar)
 
-    zq = model_zeta_quarter_c12(geom)
-    zc = model_zeta_cbar_star(geom)
-    return ModelIdentitiesReport(
-        h_Y=h_Y,
-        log_det_quarter_c12=log_quarter,
-        log_rhs_quarter=log_rhs_quarter,
-        log_det_cbar_star=log_cbar,
-        log_rhs_cbar=log_rhs_cbar,
-        numeric_gap_quarter=abs(zq.log_det - log_quarter),
-        numeric_gap_cbar=abs(zc.log_det - log_cbar),
-    )
+    reports = []
+    for geom in geoms:
+        u0 = _piece_matrix(1, 0.0, geom) @ _piece_matrix(2, 0.0, geom)
+        d_half = np.linalg.det((np.eye(h_Y) - u0) / 2.0)
+        d_half = float(d_half.real)
+
+        alphas = []
+        for theta in geom.holonomy:
+            alphas.extend([theta, TWO_PI - theta])
+        # quarter scaling is determinant-neutral: the tower has zeta(0) = 0
+        log_quarter = model_logdet(alphas)
+        log_rhs_quarter = 2.0 * h_Y * math.log(2.0) + 2.0 * math.log(abs(d_half))
+
+        zq = model_zeta_quarter_c12(geom)
+        reports.append(ModelIdentitiesReport(
+            h_Y=h_Y,
+            log_det_quarter_c12=log_quarter,
+            log_rhs_quarter=log_rhs_quarter,
+            log_det_cbar_star=log_cbar,
+            log_rhs_cbar=log_rhs_cbar,
+            numeric_gap_quarter=abs(zq.log_det - log_quarter),
+            numeric_gap_cbar=numeric_gap_cbar,
+        ))
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +292,8 @@ def svalues_exact(which: str, geom: GlueGeometry, fiber: FiberSpectrum,
     contribute.
     """
     condition_A_check(geom, fiber).raise_if_failed()
+    if not math.isfinite(kappa):
+        raise ValueError("kappa must be finite")
     window = geom.R ** (-kappa)
     if window >= fiber.min_nonzero:
         raise ValueError("window reaches past the first transverse threshold")

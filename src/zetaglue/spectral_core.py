@@ -4,8 +4,8 @@ Everything here is the bookkeeping for one self-adjoint operator with a
 discrete spectrum: its zeta function near s = 0, the regularized
 log-determinant, and the heat trace.  Eigenvalue towers of the form
 (c*n + d)^2 + mu^2 are continued past the naive sum with a Hurwitz-zeta
-tail evaluated by Euler-Maclaurin; the heat route recovers the same data
-from the trace via the kappa-integral with the pole subtracted by hand.
+tail evaluated by Euler-Maclaurin.  The heat route, which recovers the
+same data from the trace, is an oracle in zetaglue.oracles.
 
 Cross-section ("fiber") spectra come in two flavors: a finite eigenvalue
 multiset, or the analytic family of a circle cross-section.  For the circle
@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "ZetaData",
@@ -32,7 +31,6 @@ __all__ = [
     "HeatCoefficientMismatch",
     "zeta_from_sequence",
     "tail_residual_bound",
-    "zeta_via_heat",
     "heat_trace_mode",
     "heat_trace_dirichlet",
     "heat_trace_circle",
@@ -337,66 +335,6 @@ def zeta_from_sequence(seq: EigenvalueSeq, cutoff: int = 10_000,
 
 
 # ---------------------------------------------------------------------------
-# Heat route: zeta data from the trace of exp(-t * operator)
-# ---------------------------------------------------------------------------
-
-def zeta_via_heat(trace: Callable[[float], float],
-                  small_t_coeffs: Sequence[float],
-                  kernel_dim: int = 0) -> ZetaData:
-    """Zeta data from the kernel-subtracted heat trace.
-
-    trace(t) must return Tr exp(-t A) - kernel_dim and decay for large t.
-    small_t_coeffs = (a_0, a_1, ...) describe the *unsubtracted* trace as
-    sum_k a_k t^{(k-1)/2} near t = 0 (the half-integer ladder of a 1-D
-    problem; a 0-D spectrum just uses a_0 = 0, a_1 = count, ...).  At least
-    four coefficients are required so the subtracted integrand is tame.
-
-    The derivative at 0 is assembled as the pole-subtracted kappa-integral
-    plus Euler's constant times the regularized constant term.
-    """
-    cs = list(small_t_coeffs)
-    if len(cs) < 4:
-        raise ValueError("need at least 4 small-time coefficients")
-
-    def model_subtracted(t: float) -> float:
-        return math.fsum(cs[k] * t ** ((k - 1) / 2.0) for k in range(len(cs))) \
-            - kernel_dim
-
-    # consistency of declared coefficients with the actual trace near t = 0
-    t1, t2 = 1e-6, 4e-6
-    r1 = trace(t1) - model_subtracted(t1)
-    r2 = trace(t2) - model_subtracted(t2)
-    # project the defect onto {t^-1/2, 1}
-    det = t1 ** -0.5 - t2 ** -0.5
-    gap_lead = (r1 - r2) / det
-    gap_const = r1 - gap_lead * t1 ** -0.5
-    scale = max(1.0, max(abs(x) for x in cs))
-    if abs(gap_lead) > 1e-6 * scale or abs(gap_const) > 1e-6 * scale:
-        raise HeatCoefficientMismatch(gap_lead, gap_const)
-
-    a_reg = cs[1] - kernel_dim  # regularized constant term
-
-    # exponential cutoff detection for the large-t window
-    t_hi = 1.0
-    ref = max(1.0, abs(trace(1.0)))
-    while abs(trace(t_hi)) > 1e-20 * ref:
-        t_hi *= 2.0
-        if t_hi > 1e12:
-            raise RuntimeError("trace does not decay; cannot locate cutoff")
-
-    i_low, _ = quad(lambda t: (trace(t) - model_subtracted(t)) / t, 0.0, 1.0,
-                    epsabs=1e-13, epsrel=1e-12, limit=200)
-    i_high, _ = quad(lambda t: trace(t) / t, 1.0, t_hi,
-                     epsabs=1e-13, epsrel=1e-12, limit=400)
-
-    finite_part = math.fsum(
-        cs[k] * 2.0 / (k - 1) for k in range(len(cs)) if k != 1
-    )
-    zprime = EULER_GAMMA * a_reg + finite_part + i_low + i_high
-    return ZetaData.from_zeta(a_reg, zprime, kernel_dim)
-
-
-# ---------------------------------------------------------------------------
 # Heat traces of the two 1-D base problems, image-sum accelerated
 # ---------------------------------------------------------------------------
 
@@ -496,8 +434,8 @@ class FiberSpectrum:
     @classmethod
     def finite(cls, modes: Sequence[tuple[float, int]]) -> "FiberSpectrum":
         modes = tuple((float(m), int(k)) for m, k in modes)
-        if any(m < 0 for m, _ in modes):
-            raise ValueError("fiber frequencies must be nonnegative")
+        if not all(math.isfinite(m) and m >= 0 for m, _ in modes):
+            raise ValueError("fiber frequencies must be finite and nonnegative")
         if any(k < 1 for _, k in modes):
             raise ValueError("multiplicities must be >= 1")
         if sorted(m for m, _ in modes) != [m for m, _ in modes]:
@@ -508,8 +446,8 @@ class FiberSpectrum:
 
     @classmethod
     def circle(cls, circumference: float) -> "FiberSpectrum":
-        if circumference <= 0:
-            raise ValueError("circumference must be positive")
+        if not (math.isfinite(circumference) and circumference > 0):
+            raise ValueError("circumference must be finite and positive")
         return cls(kind="circle", circumference=float(circumference))
 
     @property

@@ -22,13 +22,13 @@ from zetaglue.base1d import (
     Circle,
     DirichletInterval,
     ModeProblem,
-    heat_coeffs_for_mode,
 )
 from zetaglue.glue import (
     GlueGeometry,
     condition_A_check,
     trace_perp_inverse_diff,
 )
+from zetaglue.oracles import heat_coeffs_for_mode, zeta_via_heat
 from zetaglue.scattering import (
     det_L_identity,
     dn_zero_mode_asymptotics,
@@ -48,7 +48,6 @@ from zetaglue.spectral_core import (
     heat_trace_dirichlet,
     heat_trace_mode,
     zeta_from_sequence,
-    zeta_via_heat,
 )
 
 FIBER = FiberSpectrum.finite([(0.0, 1), (1.0, 1)])

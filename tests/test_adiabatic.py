@@ -415,6 +415,12 @@ class TestTwistFactorization:
 
 
 class TestSplit:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, std_fiber, bad):
+        g = GlueGeometry(1.0, 2.0, 8.0, holonomy=(math.pi / 2,))
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            verify_smalltime_largetime_split(g, std_fiber, epsilon=bad)
+
     def test_sum_reproduces_closed_ratio(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 8.0, holonomy=(math.pi / 2,))
         rep = verify_smalltime_largetime_split(g, std_fiber)

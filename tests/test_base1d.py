@@ -11,8 +11,8 @@ from zetaglue.base1d import (
     dn_block,
     logdet_circle_mode,
     logdet_dirichlet_mode,
-    oracle_logdet_truncated,
 )
+from zetaglue.oracles import oracle_logdet_truncated
 
 GRID_LT = [(1.0, 0.5), (2.5, 1.0), (5.0, 2.0)]
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from zetaglue import cli, spectral_core
 from zetaglue.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -78,6 +79,81 @@ class TestConfigValidation:
             "geometry": {"a1": 1.0, "a2": 2.0, "holonomy": [math.pi / 2]},
         })
         assert cfg["tolerances"] == {"rel_dev": 1e-6}
+
+
+CIRCLE = {"type": "circle", "circumference": 2 * math.pi}
+
+# (experiment, keys the experiment needs, where the bad number goes, the
+# path the error names); a "--" key is a command-line flag
+NON_FINITE_FIELDS = [
+    ("bfk", {}, ["geometry", "a1"], "geometry.a1"),
+    ("bfk", {}, ["geometry", "a2"], "geometry.a2"),
+    ("bfk", {}, ["geometry", "holonomy", 0], "geometry.holonomy[0]"),
+    ("bfk", {}, ["fiber", "modes", 1, 0], "fiber.modes[1][0]"),
+    ("bfk", {"fiber": CIRCLE}, ["fiber", "circumference"],
+     "fiber.circumference"),
+    ("bfk", {"r_grid": [2.0, 4.0, 8.0]}, ["r_grid", 1], "$.r_grid[1]"),
+    ("heat-cancellation", {"t_grid": [0.25, 1.0]}, ["t_grid", 0],
+     "$.t_grid[0]"),
+    ("model-identities", {"thetas": [1.0, 2.0, 3.0]}, ["thetas", 2],
+     "$.thetas[2]"),
+    ("svalues", {"kappa": 0.75}, ["kappa"], "$.kappa"),
+    ("split", {"epsilon": 0.25}, ["epsilon"], "$.epsilon"),
+    ("bfk", {"tolerances": {"rel_dev": 1e-9}}, ["tolerances", "rel_dev"],
+     "$.tolerances.rel_dev"),
+    ("bfk", {}, ["--rmax"], "--rmax"),
+    ("bfk", {}, ["--tol"], "--tol"),
+]
+
+
+def _unreachable(cfg, out_dir):
+    raise AssertionError("a rejected config reached run_experiment")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize("experiment,extra,where,path", NON_FINITE_FIELDS,
+                         ids=[case[3] for case in NON_FINITE_FIELDS])
+def test_non_finite_number_is_config_error(tmp_path, monkeypatch, capsys,
+                                           experiment, extra, where, path,
+                                           bad):
+    # rejected before any computation: with NaN epsilon the split job spun
+    # for minutes, and NaN a1 ended in an empty "numeric failure: "
+    monkeypatch.setattr(cli, "run_experiment", _unreachable)
+    doc = json.loads(json.dumps(dict(STD_CONFIG, experiment=experiment,
+                                     **extra)))
+    flags = []
+    if where[0].startswith("--"):
+        flags = [f"{where[0]}={bad}"]
+    else:
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = bad
+    code = main(["run", str(write_config(tmp_path, doc)), *flags])
+    assert code == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+def test_model_identities_evaluates_reflected_towers_once(tmp_path,
+                                                        monkeypatch):
+    # 2 zero modes, thetas pi/3, pi/2, pi: 4 + 4 + 2 quarter-model towers
+    # and 2 per single-phase tower, plus the 3 reflected-piece towers once
+    # (they were evaluated once per theta, 25 in all)
+    calls = []
+    family_zeta = spectral_core._family_zeta
+
+    def counted(*args):
+        calls.append(args[0])
+        return family_zeta(*args)
+
+    monkeypatch.setattr(spectral_core, "_family_zeta", counted)
+    cfg = {"experiment": "model-identities",
+           "fiber": {"type": "finite", "modes": [[0.0, 2], [1.0, 1]]},
+           "geometry": {"a1": 1.0, "a2": 2.0, "holonomy": [1.0, 2.0]},
+           "out_dir": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    assert len(calls) == 19
 
 
 class TestRun:

@@ -9,10 +9,11 @@ from zetaglue.glue import (
     GlueGeometry,
     bfk_ratio,
     condition_A_check,
-    heat_route_crosscheck,
     logdet_closed,
+    logdet_grid,
     trace_perp_inverse_diff,
 )
+from zetaglue.oracles import heat_route_crosscheck
 from zetaglue.spectral_core import FiberSpectrum
 
 
@@ -26,6 +27,19 @@ class TestGeometry:
             GlueGeometry(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             GlueGeometry(1.0, 1.0, 1.0, holonomy=(7.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["a1", "a2", "R"])
+    def test_non_finite_length_rejected(self, field, bad):
+        # NaN passes a `v <= 0` test, so each length must be checked finite
+        lengths = {"a1": 1.0, "a2": 2.0, "R": 4.0, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            GlueGeometry(**lengths, holonomy=(1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stretch_grid_rejected(self, std_fiber, std_geom, bad):
+        with pytest.raises(ValueError, match="finite"):
+            logdet_grid(std_geom(), std_fiber, [2.0, bad, 8.0])
 
 
 class TestConditionA:

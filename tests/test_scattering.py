@@ -10,8 +10,10 @@ from zetaglue.scattering import (
     dn_zero_mode_asymptotics,
     fixed_space_dims,
     model_identities,
+    model_identities_over,
     model_logdet,
     model_logdet_star,
+    model_positive_roots,
     model_spectrum,
     model_zeta_single_phase,
     scattering_matrix,
@@ -135,6 +137,15 @@ class TestModelOperators:
         assert rep.numeric_gap_cbar < 1e-8
         assert rep.ok()
 
+    def test_identities_over_equal_one_at_a_time(self):
+        # the reflected side is shared, the quarter side is per geometry
+        fib = FiberSpectrum.finite([(0.0, 2), (1.0, 1)])
+        geoms = [GlueGeometry(1.0, 2.0, 10.0, holonomy=(t, t))
+                 for t in (math.pi / 3, math.pi / 2, math.pi)]
+        assert model_identities_over(geoms, fib) == tuple(
+            model_identities(g, fib) for g in geoms)
+        assert model_identities_over([], fib) == ()
+
 
 class TestSValues:
     def test_piece_window(self, std_fiber):
@@ -154,6 +165,15 @@ class TestSValues:
         g = GlueGeometry(1.0, 2.0, 10.0)
         assert svalues_exact("M", g, fib) == []
         assert svalues_exact("M1", g, fib) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_window_rejected(self, std_fiber, bad):
+        # a NaN window or root bound never ends the root scan
+        g = GlueGeometry(1.0, 2.0, 10.0, holonomy=(math.pi / 2,))
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            svalues_exact("M", g, std_fiber, kappa=bad)
+        with pytest.raises(ValueError, match="root_max must be finite"):
+            model_positive_roots([math.pi], bad)
 
     def test_piece_quantization(self, std_fiber):
         # 2 R lambda sits near a multiple of pi, off by O(R^{-kappa})

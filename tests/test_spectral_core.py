@@ -8,8 +8,8 @@ from zetaglue.base1d import (
     Circle,
     DirichletInterval,
     ModeProblem,
-    heat_coeffs_for_mode,
 )
+from zetaglue.oracles import heat_coeffs_for_mode, zeta_via_heat
 from zetaglue.spectral_core import (
     ArithmeticFamily,
     EigenvalueSeq,
@@ -28,7 +28,6 @@ from zetaglue.spectral_core import (
     hurwitz_zeta_em,
     tail_residual_bound,
     zeta_from_sequence,
-    zeta_via_heat,
 )
 from zetaglue.glue import GlueGeometry
 from zetaglue.scattering import model_identities
@@ -314,6 +313,14 @@ class TestFiberData:
             FiberSpectrum.finite([(-1.0, 1)])
         with pytest.raises(ValueError):
             FiberSpectrum.circle(0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN frequency passed `m < 0` and was then dropped as no mode
+        with pytest.raises(ValueError, match="finite"):
+            FiberSpectrum.finite([(0.0, 1), (bad, 1)])
+        with pytest.raises(ValueError, match="finite"):
+            FiberSpectrum.circle(bad)
 
 
 def test_hurwitz_euler_maclaurin_against_mpmath():
