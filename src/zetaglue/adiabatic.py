@@ -25,6 +25,9 @@ from .scattering import model_logdet, model_logdet_star
 from .spectral_core import (
     EULER_GAMMA,
     FiberSpectrum,
+    _exp_neg,
+    _heat_trace_circle_mu0,
+    _heat_trace_dirichlet_mu0,
     fiber_scaled_sqrt_logdet,
     fiber_sqrt_zeta_data,
     fiber_zeta_data,
@@ -390,9 +393,13 @@ class _TwistGroups:
             raise ValueError(f"t = {t!r} is below the table's t_min = "
                              f"{self.t_min!r}")
 
-    def relative_trace(self, geom: GlueGeometry, t: float) -> float:
+    def relative_trace(self, geom: GlueGeometry, t):
         """sum over twists of W_theta(t) (K_C(theta) - K_L1 - K_L2), each
-        weight cut at t mu^2 <= 745."""
+        weight cut at t mu^2 <= 745.  A float t runs on the scalar kernels;
+        an array of t on the mu = 0 array kernels, with each group's mode
+        columns cut once at the array's smallest t."""
+        if np.ndim(t):
+            return self._relative_traces(geom, np.asarray(t, dtype=float))
         self._check(t)
         k_1 = heat_trace_dirichlet(geom.L1, 0.0, t)
         k_2 = heat_trace_dirichlet(geom.L2, 0.0, t)
@@ -405,14 +412,29 @@ class _TwistGroups:
                                        - k_1 - k_2))
         return math.fsum(terms)
 
-    def half_fiber_trace(self, t: float) -> float:
-        """half_fiber_heat_trace(fiber, t); a finite fiber's is the table's
-        sum mult e^{-t mu^2} over every group, zero modes included."""
+    def _relative_traces(self, geom: GlueGeometry, t: np.ndarray) -> np.ndarray:
+        self._check(float(t.min()))
+        k_1 = _heat_trace_dirichlet_mu0(geom.L1, t)
+        k_2 = _heat_trace_dirichlet_mu0(geom.L2, t)
+        total = np.zeros_like(t)
+        for theta, _, mu2, mult, _ in self.groups:
+            n = int(np.searchsorted(mu2, _EXP_CUT / t.min(), side="right"))
+            if n:
+                weight = _exp_neg(t[:, None] * mu2[:n]) @ mult[:n]
+                total += weight * (_heat_trace_circle_mu0(geom.C, theta, t)
+                                   - k_1 - k_2)
+        return total
+
+    def half_fiber_trace(self, t: np.ndarray) -> np.ndarray:
+        """half_fiber_heat_trace(fiber, t) at every t of an array; a finite
+        fiber's is the table's sum mult e^{-t mu^2} over every group, zero
+        modes included."""
+        t = np.asarray(t, dtype=float)
         if self.fiber.kind != "finite":
-            return half_fiber_heat_trace(self.fiber, t)
-        # (-t mu) mu rounds as half_fiber_heat_trace does; -t mu^2 can
-        # differ by |t mu^2| ulps
-        return math.fsum((self.mult * np.exp(-t * self.mu * self.mu)).tolist())
+            return _heat_trace_circle_mu0(self.fiber.circumference, 0.0, t)
+        # (t mu) mu rounds as half_fiber_heat_trace does; t mu^2 can differ
+        # by |t mu^2| ulps
+        return _exp_neg((t[:, None] * self.mu) * self.mu) @ self.mult
 
     def log_abs_deviation(self, geom: GlueGeometry,
                           t: float) -> tuple[float, float]:
@@ -553,6 +575,127 @@ def verify_lemma_cancellation(geom_template: GlueGeometry,
 
 
 # ---------------------------------------------------------------------------
+# Window numerics: Gauss-Kronrod panels and the exponential integral
+# ---------------------------------------------------------------------------
+
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1]: the nodes, their
+# Kronrod weights, and the 10-point Gauss weights of the odd-indexed nodes
+_GK21_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK21_NODES = np.concatenate([_GK21_NODES, -_GK21_NODES[-2::-1]])
+_GK21_KRONROD = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GK21_KRONROD = np.concatenate([_GK21_KRONROD, _GK21_KRONROD[-2::-1]])
+_GK21_GAUSS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_GK21_GAUSS = np.concatenate([_GK21_GAUSS, _GK21_GAUSS[::-1]])
+
+
+def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
+    """(integrals, error estimates) of f over the panels [lo_i, hi_i], with
+    every node of every panel in one call of f on a flat array.
+
+    The error is QUADPACK's: the Kronrod-Gauss gap, scaled by the integral
+    of |f - mean| as (200 gap / that)^1.5 where smaller, and at least the
+    rounding floor 50 eps times the integral of |f|.
+    """
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fv = f((c[:, None] + h[:, None] * _GK21_NODES).ravel()).reshape(len(c), 21)
+    s_k = fv @ _GK21_KRONROD
+    gap = np.abs((s_k - fv[:, 1::2] @ _GK21_GAUSS) * h)
+    dabs = np.abs(np.abs(fv - 0.5 * s_k[:, None]) @ _GK21_KRONROD * h)
+    ratio = np.divide(200.0 * gap, dabs, out=np.ones_like(gap), where=dabs > 0)
+    err = np.where((dabs > 0) & (gap > 0),
+                   dabs * np.minimum(1.0, ratio ** 1.5), gap)
+    floor = 50.0 * np.finfo(float).eps * np.abs(h) * (np.abs(fv) @ _GK21_KRONROD)
+    return h * s_k, np.maximum(err, floor)
+
+
+_MAX_PANELS = 400
+
+
+def _integrate(f, a: float, b: float, epsabs: float = 1e-11,
+               epsrel: float = 1e-10) -> tuple[float, float]:
+    """(integral of f over [a, b], error estimate) by globally adaptive
+    21-point Gauss-Kronrod with at most 400 panels; f maps an array of
+    points to an array of values.
+
+    Each round bisects the panels with the largest errors, as many as it
+    takes to leave at most half the tolerance max(epsabs, epsrel |I|) on
+    the panels kept whole, and as many as the cap allows; the new panels'
+    nodes go to f in one call.  The loop ends when the summed error meets
+    the tolerance or the cap is reached.
+    """
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    val, err = _gk21_panels(f, lo, hi)
+    while True:
+        total, err_sum = math.fsum(val.tolist()), float(err.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        room = _MAX_PANELS - len(lo)
+        if err_sum <= tol or room == 0:
+            return total, err_sum
+        order = np.argsort(-err, kind="stable")
+        # error left on the panels from each position of `order` on
+        left = np.cumsum(err[order][::-1])[::-1]
+        k = min(int(np.count_nonzero(left > 0.5 * tol)), room)
+        split, keep = order[:k], np.sort(order[k:])
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _gk21_panels(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+
+
+_E1_SERIES_TERMS = 20   # x^k / (k k!) < 1e-19 past k = 20 for x <= 1
+
+
+def _exp1(x: np.ndarray) -> np.ndarray:
+    """E1(x) = int_x^inf e^{-s} / s ds at every x > 0 of an array.
+
+    Up to x = 1 the power series -gamma - log x + sum_k (-1)^{k+1} x^k /
+    (k k!), smallest term first; above it the continued fraction
+    e^{-x} / (x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...))))), evaluated bottom-up
+    from depth 20 + 80 / x; 0 past x = 745, where e^{-x} underflows.
+    Within 5e-16 relative of mpmath on (0, 700].
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    low = x <= 1.0
+    xs = x[low]
+    if xs.size:
+        terms = [xs]
+        for k in range(2, _E1_SERIES_TERMS + 1):
+            terms.append(terms[-1] * (-xs) * (k - 1) / (k * k))
+        series = np.zeros_like(xs)
+        for term in reversed(terms):
+            series += term
+        out[low] = -EULER_GAMMA - np.log(xs) + series
+    high = ~low & (x <= _EXP_CUT)
+    xs = x[high]
+    if xs.size:
+        tail = np.zeros_like(xs)
+        for k in range(20 + int(80.0 / xs.min()), 0, -1):
+            tail = k / (1.0 + k / (xs + tail))
+        out[high] = np.exp(-xs) / (xs + tail)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Small-time / large-time decomposition
 # ---------------------------------------------------------------------------
 
@@ -577,7 +720,7 @@ class SplitReport:
     sum_quadrature: float        # (zeta_small)'(0) + (zeta_large)'(0)
     log_ratio_closed: float
     asymptote: float             # h log R - log(predicted limit)
-    small_quad_error: float      # quad's error estimates of both windows
+    small_quad_error: float      # _integrate's error estimates of both windows
     large_quad_error: float
 
     @property
@@ -608,11 +751,7 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     counterterm h0 (gamma - eps log R).  Their sum is compared against the
     closed-form log ratio, which it must reproduce up to quadrature error.
     """
-    # imported here: the other experiments run without loading scipy
-    from scipy.integrate import quad
-    from scipy.special import exp1
-
-    if not math.isfinite(epsilon):  # a NaN window edge stalls the quadrature
+    if not math.isfinite(epsilon):  # a NaN window edge has no integral
         raise ValueError("epsilon must be finite")
     condition_A_check(geom, fiber).raise_if_failed()
     R = geom.R
@@ -626,7 +765,7 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     # comes before mu^2 T = 50
     mu, mult, _ = mode_table(geom, fiber,
                              _modes_through(fiber, math.sqrt(50.0 / T)))
-    tail_y = mult * exp1(mu * mu * T)
+    tail_y = mult * _exp1(mu * mu * T)
     if fiber.kind == "circle":
         tail_y = tail_y[:int(np.argmax(tail_y < 1e-18)) + 1]
     tail_y_val = math.fsum(tail_y.tolist())
@@ -636,28 +775,27 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
 
     groups = _TwistGroups(geom, fiber, t_lo)
 
-    def dev(t: float) -> float:
-        return (groups.relative_trace(geom, t)
-                - groups.half_fiber_trace(t))
+    def dev(u: np.ndarray) -> np.ndarray:
+        t = np.exp(u)
+        return groups.relative_trace(geom, t) - groups.half_fiber_trace(t)
 
-    i_dev, small_quad_error = quad(
-        lambda u: dev(math.exp(u)), math.log(t_lo), math.log(T),
-        epsabs=1e-11, epsrel=1e-10, limit=400,
-    )
+    i_dev, small_quad_error = _integrate(dev, math.log(t_lo), math.log(T))
 
     small_counterterm = h0 * (EULER_GAMMA + math.log(T))
     small_raw = (small_counterterm + z_fiber.zeta_prime_at_zero
                  - tail_y_val + i_dev)
 
-    # large window: integrate the relative trace from T out to decay
-    lam_min_sq = min((math.pi / geom.L1) ** 2, (math.pi / geom.L2) ** 2)
+    # large window: integrate the relative trace from T out to decay; the
+    # slowest rates are the interval ground states, the zero-mode twists
+    # and the lowest nonzero fiber frequency (the twist-0 group)
+    lam_min_sq = min((math.pi / geom.L1) ** 2, (math.pi / geom.L2) ** 2,
+                     fiber.min_nonzero ** 2)
     for th in geom.holonomy:
         lam_min_sq = min(lam_min_sq, (min(th, 2 * math.pi - th) / geom.C) ** 2)
     t_end = 80.0 / lam_min_sq
-    i_large, large_quad_error = quad(
-        lambda u: groups.relative_trace(geom, math.exp(u)),
-        math.log(T), math.log(t_end), epsabs=1e-11, epsrel=1e-10, limit=400,
-    )
+    i_large, large_quad_error = _integrate(
+        lambda u: groups.relative_trace(geom, np.exp(u)),
+        math.log(T), math.log(t_end))
     large_raw = i_large
     large_counterterm = h0 * (EULER_GAMMA - epsilon * math.log(R))
 

@@ -59,8 +59,9 @@ def _number(v, path: str, message: str, valid=lambda x: True) -> float:
     """v as a float if it is a finite number that passes valid, else a
     ConfigError naming path.  json.loads accepts NaN and Infinity, and NaN
     slips past a test like `v <= 0`; an integer past the float range
-    overflows float().  All of them stop here, before any computation."""
-    if isinstance(v, (int, float)):
+    overflows float(); true and false are ints to Python.  All of them stop
+    here, before any computation."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         try:
             x = float(v)
         except OverflowError:
@@ -97,7 +98,7 @@ def _parse_fiber(obj, path="fiber") -> FiberSpectrum:
             mu = _number(mu, f"{path}.modes[{i}][0]",
                          "mu must be a finite nonnegative number",
                          lambda x: x >= 0)
-            if not isinstance(mult, int) or mult < 1:
+            if type(mult) is not int or mult < 1:   # bool is an int
                 raise ConfigError(f"{path}.modes[{i}][1]",
                                   "mult must be a positive integer")
             pairs.append((mu, mult))

@@ -6,8 +6,9 @@ the heat trace (the kappa-integral with the pole subtracted by hand), a
 log-determinant by explicit eigenvalue enumeration plus analytic tail,
 and an inverse trace as the time integral of the heat trace.
 
-This is the only module that imports scipy at the top.  The package does
-not import it, so a job that never calls an oracle never loads scipy.
+This is the only module that imports scipy, which the package does not
+depend on (it comes with the test extra).  The package does not import
+this module, so no job loads scipy.
 """
 
 from __future__ import annotations

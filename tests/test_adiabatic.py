@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,8 @@ from zetaglue.adiabatic import (
     verify_smalltime_largetime_split,
     verify_theorem_dn,
     verify_theorem_main,
+    _exp1,
+    _integrate,
     _log_abs_deviation,
 )
 from zetaglue.base1d import dn_block, logdet_circle_mode, logdet_dirichlet_mode
@@ -429,7 +432,7 @@ class TestSplit:
     def test_quadrature_errors_recorded(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 8.0, holonomy=(math.pi / 2,))
         rep = verify_smalltime_largetime_split(g, std_fiber)
-        # quad's own estimates, inside the requested epsabs / epsrel
+        # the integrator's own estimates, inside the requested epsabs / epsrel
         assert 0.0 < rep.small_quad_error < 1e-9
         assert 0.0 < rep.large_quad_error < 1e-9
 
@@ -531,3 +534,80 @@ def test_theorem_fails_on_one_failed_row(std_fiber, std_geom, verify):
     # four rows are left to extrapolate, but the failed one fails the check
     assert check.fit is not None and not check.passed
     assert check.failed_rows == ((res.rows[2].R, "boom"),)
+
+
+class TestSplitWindows:
+    # a1 2.927, a2 2.362: cli-suite seed 3, rounds 22 and 23.  The twist is
+    # 0.169 from 2 pi, and the circle kernel once dropped its slowest line
+    # at large t, which left a gap of 0.48
+    @pytest.mark.parametrize("fiber", [FiberSpectrum.finite([(0.0, 1), (1.0, 1)]),
+                                       FiberSpectrum.circle(2 * math.pi)],
+                             ids=["finite", "circle"])
+    def test_twist_near_two_pi(self, fiber):
+        g = GlueGeometry(2.927, 2.362, 64.0, holonomy=(6.114,))
+        assert verify_smalltime_largetime_split(g, fiber).sum_vs_closed_gap \
+            <= 1e-9
+
+    # the large window must run past the decay of the twist-0 group of
+    # nonzero fiber modes, e^{-t mu_1^2} with mu_1 = 2 pi / circumference;
+    # at circumference 2000 and R 16 it stopped early, for a gap of 0.132
+    @pytest.mark.parametrize("R", [16.0, 32.0, 64.0])
+    @pytest.mark.parametrize("circumference", [500.0, 873.3, 2000.0])
+    def test_window_ends_after_lowest_fiber_frequency(self, R, circumference):
+        g = GlueGeometry(2.213, 1.887, R, holonomy=(1.431,))
+        rep = verify_smalltime_largetime_split(
+            g, FiberSpectrum.circle(circumference))
+        assert rep.sum_vs_closed_gap <= 1e-9
+
+
+class TestIntegrator:
+    @pytest.mark.parametrize("degree", range(32))
+    def test_polynomials_exact(self, degree):
+        coeffs = np.random.default_rng(degree).uniform(0.0, 1.0, degree + 1)
+        a, b = 0.25, 1.75
+        exact = math.fsum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                          for k, c in enumerate(coeffs.tolist()))
+        value, _ = _integrate(
+            lambda x: np.polynomial.polynomial.polyval(x, coeffs), a, b)
+        assert abs(value - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("tols", [(1e-11, 1e-10), (1e-4, 0.0)],
+                             ids=["split", "loose"])
+    @pytest.mark.parametrize("x,u0,u1", [
+        (1.0, -8.0, 3.0), (1e-3, -2.0, 9.0), (50.0, -12.0, 0.5),
+        (0.3, 0.0, 0.1)])
+    def test_error_estimate_bounds_error(self, x, u0, u1, tols):
+        # int exp(-x e^u) du = E1(x e^u0) - E1(x e^u1), s = x e^u
+        exact = float(mpmath.e1(x * mpmath.e ** u0)
+                      - mpmath.e1(x * mpmath.e ** u1))
+        value, err = _integrate(lambda u: np.exp(-x * np.exp(u)), u0, u1,
+                                epsabs=tols[0], epsrel=tols[1])
+        assert abs(value - exact) <= err
+        assert err <= max(tols[0], tols[1] * abs(value))
+
+    def test_panel_cap_ends_loop(self):
+        # noise never converges: the loop stops at 400 panels, after
+        # 1 + 2 * 399 panels of 21 nodes
+        rng = np.random.default_rng(0)
+        nodes = []
+
+        def noise(u):
+            nodes.append(len(u))
+            return rng.standard_normal(len(u))
+
+        value, err = _integrate(noise, 0.0, 1.0)
+        assert sum(nodes) == 21 * (1 + 2 * 399)
+        assert math.isfinite(value) and err > 1e-11
+
+
+class TestExp1:
+    def test_against_mpmath(self):
+        xs = np.concatenate([np.geomspace(1e-12, 700.0, 3000),
+                             np.linspace(0.5, 3.0, 1001)])
+        got = _exp1(xs)
+        for x, g in zip(xs.tolist(), got.tolist()):
+            want = float(mpmath.e1(x))
+            assert abs(g - want) <= 1e-14 * want, x
+
+    def test_zero_past_underflow(self):
+        assert _exp1(np.array([745.5, 1e4, 1e300])).tolist() == [0.0] * 3

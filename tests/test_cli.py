@@ -135,6 +135,30 @@ def test_non_finite_number_is_config_error(tmp_path, monkeypatch, capsys,
     assert f"config error: {path}: " in capsys.readouterr().err
 
 
+# JSON true and false are Python ints: a1 true resolved to 1.0, a
+# multiplicity true to 1
+BOOLEAN_FIELDS = [case for case in NON_FINITE_FIELDS
+                  if not case[2][0].startswith("--")] + [
+    ("bfk", {}, ["fiber", "modes", 1, 1], "fiber.modes[1][1]")]
+
+
+@pytest.mark.parametrize("bad", [True, False], ids=["true", "false"])
+@pytest.mark.parametrize("experiment,extra,where,path", BOOLEAN_FIELDS,
+                         ids=[case[3] for case in BOOLEAN_FIELDS])
+def test_boolean_number_is_config_error(tmp_path, monkeypatch, capsys,
+                                        experiment, extra, where, path, bad):
+    monkeypatch.setattr(cli, "run_experiment", _unreachable)
+    doc = json.loads(json.dumps(dict(STD_CONFIG, experiment=experiment,
+                                     **extra)))
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = bad
+    code = main(["run", str(write_config(tmp_path, doc))])
+    assert code == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
 def test_model_identities_evaluates_reflected_towers_once(tmp_path,
                                                         monkeypatch):
     # 2 zero modes, thetas pi/3, pi/2, pi: 4 + 4 + 2 quarter-model towers

@@ -23,6 +23,8 @@ from zetaglue.glue import GlueGeometry, logdet_grid  # noqa: E402
 from zetaglue.scattering import scattering_matrix  # noqa: E402
 from zetaglue.spectral_core import (  # noqa: E402
     FiberSpectrum,
+    _heat_trace_circle_mu0,
+    _heat_trace_dirichlet_mu0,
     fiber_zeta_data,
     heat_trace_circle,
     heat_trace_dirichlet,
@@ -164,7 +166,7 @@ def test_table_half_trace_matches_generator(inst, log_t):
                    (bare, GlueGeometry(geom.a1, geom.a2, geom.R, ()))):
         ref = half_fiber_heat_trace(fib, t)
         if t * fib.min_nonzero ** 2 <= 700.0 or fib.h0:
-            got = _TwistGroups(g, fib, t).half_fiber_trace(t)
+            got = _TwistGroups(g, fib, t).half_fiber_trace(np.array([t]))[0]
             assert abs(got - ref) <= 1e-14 * ref
 
 
@@ -223,3 +225,46 @@ def test_relative_trace_symmetries(inst):
     for other in (swapped, reflected):
         assert abs(relative_heat_trace(other, fiber, t) - trace) \
             <= 1e-12 * abs(trace)
+
+
+# twists within 1e-3 of 0 and of 2 pi, where one line of the circle sum
+# decays far slower than the rest, and anywhere in between
+TWIST = st.one_of(st.floats(0.0, 1e-3),
+                  st.floats(2.0 * math.pi - 1e-3, 2.0 * math.pi,
+                            exclude_max=True),
+                  st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.0, 3.0), TWIST,
+       st.lists(st.floats(-4.0, 6.0), min_size=1, max_size=12))
+def test_array_kernels_match_scalar(log_length, theta, log_ratios):
+    # t / length^2 from 1e-4 to 1e6: both sides of the 1/20 branch switch,
+    # and past the underflow of every line at the top
+    length = 10.0 ** log_length
+    t = length * length * 10.0 ** np.array(log_ratios)
+    pairs = ((_heat_trace_dirichlet_mu0(length, t),
+              [heat_trace_dirichlet(length, 0.0, x) for x in t]),
+             (_heat_trace_circle_mu0(length, theta, t),
+              [heat_trace_circle(length, theta, 0.0, x) for x in t]))
+    for got, want in pairs:
+        for g, w in zip(got.tolist(), want):
+            assert abs(g - w) <= 1e-14 * abs(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(heat_instances())
+def test_batched_relative_trace_matches_pointwise(inst):
+    # the split suite's array path against the lemma suite's point path
+    fiber, geom, t = inst
+    ts = t * np.array([1.0, 1.7, 10.0, 1e3])
+    groups = _TwistGroups(geom, fiber, t)
+    got = groups.relative_trace(geom, ts)
+    for x, g in zip(ts.tolist(), got.tolist()):
+        want = groups.relative_trace(geom, x)
+        # ulps of the traces each twist group subtracts
+        floor = 16.0 * EPS * half_fiber_heat_trace(fiber, x) * (
+            heat_trace_circle(geom.C, 0.0, 0.0, x)
+            + heat_trace_dirichlet(geom.L1, 0.0, x)
+            + heat_trace_dirichlet(geom.L2, 0.0, x))
+        assert abs(g - want) <= 1e-13 * abs(want) + floor

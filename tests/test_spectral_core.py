@@ -229,6 +229,17 @@ class TestHeatTraces:
         val = heat_trace_circle(C, theta, 0.0, t)
         assert abs(val - oracle) < 1e-12 * oracle
 
+    def test_circle_twist_near_two_pi_at_large_time(self):
+        # the n = 0 line underflows here, the theta - 2 pi line does not;
+        # the walk once stopped at n = 0 and returned 0.0
+        t, C, theta = 2e6, 261.289, 6.114
+        oracle = math.fsum(
+            math.exp(-t * ((2 * math.pi * n + theta) / C) ** 2)
+            for n in range(-50, 51))
+        assert oracle == pytest.approx(0.4324, abs=1e-4)
+        assert abs(heat_trace_circle(C, theta, 0.0, t) - oracle) \
+            <= 1e-14 * oracle
+
     def test_dirichlet_small_time_form(self):
         L, t = 3.0, 0.2
         leading = L / math.sqrt(4 * math.pi * t) - 0.5
