@@ -7,7 +7,8 @@ bit-for-bit reproducible: fixed row order, floats at 17 significant
 digits, and a provenance header (config hash, artifact version) on every
 file.
 
-Exit codes: 0 all assertions pass, 2 config error, 3 numeric failure.
+Exit codes: 0 every gate passes, 2 config error, 3 failed gates (named on
+stderr) or a numeric failure.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .adiabatic import (
+    consistency_triangle_gap,
     sweep,
     verify_bfk_corollary,
     verify_lemma_cancellation,
@@ -148,8 +152,8 @@ def _positive_grid(obj, path: str) -> list[float]:
     vals = [_number(v, f"{path}[{i}]", "must be a finite positive number",
                     _positive)
             for i, v in enumerate(obj)]
-    if sorted(vals) != vals:
-        raise ConfigError(path, "must be increasing")
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise ConfigError(path, "must be strictly increasing")
     return vals
 
 
@@ -188,9 +192,13 @@ def resolve_config(raw: dict) -> dict:
                          "must be a finite number"),
         "epsilon": _number(raw.get("epsilon", 0.25), "$.epsilon",
                            "must be a finite number"),
-        "out_dir": str(raw.get("out_dir", "out")),
-        "xy_files": bool(raw.get("xy_files", True)),
+        "out_dir": raw.get("out_dir", "out"),
+        "xy_files": raw.get("xy_files", True),
     }
+    for key, kind, what in (("out_dir", str, "a string"),
+                            ("xy_files", bool, "true or false")):
+        if not isinstance(resolved[key], kind):
+            raise ConfigError(f"$.{key}", f"must be {what}")
     if "t_grid" in raw or name == "heat-cancellation":
         resolved["t_grid"] = _positive_grid(
             raw.get("t_grid", [0.25, 1.0, 4.0]), "$.t_grid")
@@ -221,7 +229,8 @@ def resolve_config(raw: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners: each returns (rows, columns, summary, xy, passed)
+# Experiment runners: each returns (columns, rows, summary, gates, xy), gates
+# mapping a gate name to its verdict; run_experiment alone combines them
 # ---------------------------------------------------------------------------
 
 def _run_bfk(cfg):
@@ -241,54 +250,47 @@ def _run_bfk(cfg):
         "worst_R": (max(computed, key=lambda row: row[-1])[0]
                     if computed else None),
         "failed_rows": [[R, error] for R, error in check.failed_rows],
-        "pass": check.passed,
     }
     xy = {"bfk_vs_R": [(r.R, r.bfk_ratio) for r in result.rows]}
-    return rows, cols, summary, xy, check.passed
+    return cols, rows, summary, {"constant_ok": check.passed}, xy
 
 
-def _run_theorem(cfg, which: str):
+def _run_theorem(cfg, verify, col):
     fiber, make = cfg["_fiber"], cfg["_make_geom"]
     result = sweep(make(cfg["r_grid"][0]), fiber, cfg["r_grid"])
-    tol = cfg["tolerances"]["limit_gap"]
-    if which == "main":
-        check = verify_theorem_main(result, tol=tol)
-        col = "scaled_ratio"
-    else:
-        check = verify_theorem_dn(result, tol=tol)
-        col = "scaled_det_R"
-    cols = ["R", col, "deviation_from_predicted"]
+    check = verify(result, tol=cfg["tolerances"]["limit_gap"])
     rows = [[r.R, getattr(r, col), abs(getattr(r, col) - check.predicted)]
             for r in result.rows]
-    passed = check.passed and check.exponent_ok
-    fit = check.fit
-    fit_keys = ("extrapolated_limit", "extrapolation_gap", "fit_coefficients",
-                "fit_residual_norm", "fit_uncertainty", "convergence_exponent")
-    # no fit when fewer than 3 rows were computed
-    fit_values = ((fit.limit, check.extrapolation_gap, list(fit.coeffs),
-                   fit.residual_norm, fit.uncertainty, fit.convergence_exponent)
-                  if fit else (None,) * len(fit_keys))
-    summary = dict(zip(fit_keys, fit_values))
-    summary.update({
+    fit = check.fit   # None, and so each fit value, below 3 computed rows
+    summary = {
+        "extrapolated_limit": fit and fit.limit,
+        "extrapolation_gap": check.extrapolation_gap,
+        "fit_coefficients": fit and list(fit.coeffs),
+        "fit_residual_norm": fit and fit.residual_norm,
+        "fit_uncertainty": fit and fit.uncertainty,
+        "convergence_exponent": fit and fit.convergence_exponent,
         "predicted_limit": check.predicted,
         "failed_rows": [[R, error] for R, error in check.failed_rows],
-        "pass": passed,
-    })
-    if which == "dn":
-        from .adiabatic import consistency_triangle_gap
-        gap = consistency_triangle_gap(make(cfg["r_grid"][0]), fiber)
-        summary["consistency_triangle_gap"] = gap
-        passed = passed and gap <= cfg["tolerances"]["triangle_gap"]
-        summary["pass"] = passed
+    }
+    gates = {"limit_ok": check.passed, "exponent_ok": check.exponent_ok}
     xy = {f"{col}_vs_R": list(zip(result.Rs, result.column(col)))}
-    return rows, cols, summary, xy, passed
+    return ["R", col, "deviation_from_predicted"], rows, summary, gates, xy
+
+
+def _run_theorem_dn(cfg):
+    cols, rows, summary, gates, xy = _run_theorem(cfg, verify_theorem_dn,
+                                                  "scaled_det_R")
+    gap = consistency_triangle_gap(cfg["_make_geom"](cfg["r_grid"][0]),
+                                   cfg["_fiber"])
+    summary["consistency_triangle_gap"] = gap
+    gates["triangle_ok"] = gap <= cfg["tolerances"]["triangle_gap"]
+    return cols, rows, summary, gates, xy
 
 
 def _run_svalues(cfg):
     fiber, make = cfg["_fiber"], cfg["_make_geom"]
     kappa = cfg["kappa"]
-    rows, reports = [], {}
-    quant_worst = {}
+    rows, reports, quant_worst = [], {}, {}
     for R in cfg["r_grid"]:
         geom = make(R)
         for which in ("M", "M1", "M2"):
@@ -297,13 +299,11 @@ def _run_svalues(cfg):
             for lam, s, m, res in rep.pairs:
                 rows.append([R, which, lam, s, m, res])
             if which in ("M1", "M2"):
-                worst = max((abs(2 * R * lam - round(2 * R * lam / math.pi)
-                                 * math.pi) for lam, _, _, _ in rep.pairs),
-                            default=0.0)
-                quant_worst[(which, R)] = worst
+                quant_worst[(which, R)] = max(
+                    (abs(2 * R * lam - round(2 * R * lam / math.pi) * math.pi)
+                     for lam, _, _, _ in rep.pairs), default=0.0)
     cols = ["R", "operator", "lambda", "scaled_value", "model_value",
             "residual"]
-    bijective = all(rep.bijective for rep in reports.values())
     ratios = []
     grid = cfg["r_grid"]
     for which in ("M", "M1", "M2"):
@@ -311,27 +311,22 @@ def _run_svalues(cfg):
             ratios.extend(svalue_rate_ratios(reports[(which, r_small)],
                                              reports[(which, r_large)]))
     lo, hi = cfg["tolerances"]["rate_low"], cfg["tolerances"]["rate_high"]
-    # no pair, no rate: an empty zero-mode space checks nothing
-    rates_ok = bool(ratios) and all(lo <= r <= hi for r in ratios)
     # piece quantization |2 R lambda - k pi| <= c R^{-kappa}
     r_ref = grid[-1]
     c_hat = max(quant_worst.get(("M1", r_ref), 0.0),
                 quant_worst.get(("M2", r_ref), 0.0)) * r_ref ** kappa
-    quant_ok = all(w <= 2.0 * c_hat * R ** (-kappa) + 1e-15
-                   for (which_, R), w in quant_worst.items())
-    passed = bijective and rates_ok and quant_ok
-    summary = {
-        "bijective": bijective,
-        "rate_ratios": ratios,
-        "rates_ok": rates_ok,
-        "quantization_c_hat": c_hat,
-        "quantization_ok": quant_ok,
-        "pass": passed,
+    gates = {
+        "bijective": all(rep.bijective for rep in reports.values()),
+        # no pair, no rate: an empty zero-mode space checks nothing
+        "rates_ok": bool(ratios) and all(lo <= r <= hi for r in ratios),
+        "quantization_ok": all(w <= 2.0 * c_hat * R ** (-kappa) + 1e-15
+                               for (which_, R), w in quant_worst.items()),
     }
+    summary = {"rate_ratios": ratios, "quantization_c_hat": c_hat}
     xy = {"worst_residual_vs_R":
           [(R, max(reports[(w, R)].worst_residual for w in ("M", "M1", "M2")))
            for R in grid]}
-    return rows, cols, summary, xy, passed
+    return cols, rows, summary, gates, xy
 
 
 def _run_dn_asymptotics(cfg):
@@ -349,12 +344,12 @@ def _run_dn_asymptotics(cfg):
     cols = ["R", "piece", "mode", "pairing_minus", "model_matched",
             "match_error", "pairing_plus", "alpha", "matched_sign"]
     # no zero mode, no entry: nothing was checked, and the worst is undefined
-    passed = (bool(rows) and worst_match <= cfg["tolerances"]["match_err"]
-              and worst_plus <= cfg["tolerances"]["plus_bound"])
     summary = {"worst_match_error": worst_match if rows else None,
-               "worst_plus_pairing": worst_plus if rows else None,
-               "pass": passed}
-    return rows, cols, summary, {}, passed
+               "worst_plus_pairing": worst_plus if rows else None}
+    tol = cfg["tolerances"]
+    gates = {"match_ok": bool(rows) and worst_match <= tol["match_err"],
+             "plus_ok": bool(rows) and worst_plus <= tol["plus_bound"]}
+    return cols, rows, summary, gates, {}
 
 
 def _run_heat_cancellation(cfg):
@@ -364,39 +359,30 @@ def _run_heat_cancellation(cfg):
     cols = ["R", "t", "log_abs_deviation", "log_bound"]
     rows = [[R, t, lg, math.log(rep.c1_hat) - rep.c2_hat * R * R / t]
             for R, t, lg in rep.rows]
-    passed = rep.ok(c2_min=cfg["tolerances"]["c2_min"],
-                    slack=cfg["tolerances"]["bound_slack"])
-    summary = {
-        "c1_hat": rep.c1_hat, "c2_hat": rep.c2_hat,
-        "max_violation_factor": rep.max_violation_factor,
-        "float_crosscheck_gap": rep.float_crosscheck_gap,
-        "pass": passed,
-    }
+    summary = {key: getattr(rep, key) for key in (
+        "c1_hat", "c2_hat", "max_violation_factor", "float_crosscheck_gap")}
+    gates = {"bound_ok": rep.ok(c2_min=cfg["tolerances"]["c2_min"],
+                                slack=cfg["tolerances"]["bound_slack"])}
     xy = {"log_dev_vs_R2_over_t": [(R * R / t, lg) for R, t, lg in rep.rows]}
-    return rows, cols, summary, xy, passed
+    return cols, rows, summary, gates, xy
 
 
 def _run_trace_perp(cfg):
-    import numpy as np
-
     fiber, make = cfg["_fiber"], cfg["_make_geom"]
-    mu_min = fiber.min_nonzero
-    if not math.isfinite(mu_min):
-        raise ConfigError("$.fiber", "trace-perp needs a nonzero mode")
-    rows = []
-    for R in cfg["r_grid"]:
-        rows.append([R, trace_perp_inverse_diff(make(R), fiber)])
-    cols = ["R", "trace_perp_diff"]
-    Rs = [r[0] for r in rows]
-    logs = [math.log(abs(r[1])) for r in rows]
-    slope = float(np.polyfit(Rs, logs, 1)[0])
-    expected = -4.0 * mu_min
+    rows = [[R, trace_perp_inverse_diff(make(R), fiber)]
+            for R in cfg["r_grid"]]
+    # fitted to the rows whose difference did not underflow to 0.0
+    logs = [(R, math.log(abs(diff))) for R, diff in rows if diff != 0.0]
+    slope = (float(np.polyfit(*zip(*logs), 1)[0]) if len(logs) >= 2
+             else math.nan)
+    expected = -4.0 * fiber.min_nonzero
     rel = abs(slope - expected) / abs(expected)
-    passed = rel <= cfg["tolerances"]["slope_rel"]
     summary = {"fitted_slope": slope, "expected_slope": expected,
-               "slope_rel_gap": rel, "pass": passed}
-    xy = {"log_abs_diff_vs_R": list(zip(Rs, logs))}
-    return rows, cols, summary, xy, passed
+               "slope_rel_gap": rel}
+    gates = {"slope_ok": rel <= cfg["tolerances"]["slope_rel"],
+             "nonzero_ok": len(logs) == len(rows)}
+    return (["R", "trace_perp_diff"], rows, summary, gates,
+            {"log_abs_diff_vs_R": logs})
 
 
 def _run_model_identities(cfg):
@@ -422,13 +408,13 @@ def _run_model_identities(cfg):
     cols = ["theta", "log_det_quarter_c12", "gap_quarter_exact",
             "gap_cbar_exact", "numeric_gap_quarter", "numeric_gap_cbar",
             "numeric_gap_single_phase", "det_L", "det_L_rhs", "det_L_gap"]
-    passed = (worst_exact <= cfg["tolerances"]["exact_gap"]
-              and worst_numeric <= cfg["tolerances"]["numeric_gap"]
-              and worst_detl <= cfg["tolerances"]["det_L_gap"])
     summary = {"worst_exact_gap": worst_exact,
                "worst_numeric_gap": worst_numeric,
-               "worst_det_L_gap": worst_detl, "pass": passed}
-    return rows, cols, summary, {}, passed
+               "worst_det_L_gap": worst_detl}
+    gates = {"exact_ok": worst_exact <= cfg["tolerances"]["exact_gap"],
+             "numeric_ok": worst_numeric <= cfg["tolerances"]["numeric_gap"],
+             "det_L_ok": worst_detl <= cfg["tolerances"]["det_L_gap"]}
+    return cols, rows, summary, gates, {}
 
 
 def _run_split(cfg):
@@ -443,22 +429,14 @@ def _run_split(cfg):
         ["large", rep.large_raw, rep.large_counterterm,
          rep.large_limit_value, rep.large_gap],
     ]
-    passed = (rep.sum_vs_closed_gap <= cfg["tolerances"]["sum_gap"]
-              and rep.asymptote_gap <= cfg["tolerances"]["asymptote_gap"])
-    summary = {
-        "R": rep.R, "epsilon": rep.epsilon, "T": rep.T,
-        "sum_quadrature": rep.sum_quadrature,
-        "log_ratio_closed": rep.log_ratio_closed,
-        "sum_vs_closed_gap": rep.sum_vs_closed_gap,
-        "asymptote": rep.asymptote,
-        "asymptote_gap": rep.asymptote_gap,
-        "small_gap": rep.small_gap,
-        "large_gap": rep.large_gap,
-        "small_quad_error": rep.small_quad_error,
-        "large_quad_error": rep.large_quad_error,
-        "pass": passed,
-    }
-    return rows, cols, summary, {}, passed
+    summary = {key: getattr(rep, key) for key in (
+        "R", "epsilon", "T", "sum_quadrature", "log_ratio_closed",
+        "sum_vs_closed_gap", "asymptote", "asymptote_gap", "small_gap",
+        "large_gap", "small_quad_error", "large_quad_error")}
+    tol = cfg["tolerances"]
+    gates = {"sum_ok": rep.sum_vs_closed_gap <= tol["sum_gap"],
+             "asymptote_ok": rep.asymptote_gap <= tol["asymptote_gap"]}
+    return cols, rows, summary, gates, {}
 
 
 EXPERIMENTS = {
@@ -477,7 +455,8 @@ EXPERIMENTS = {
         "description": "determinant-ratio limit under stretching",
         "claim": "R^h det_M/(det_M1 det_M2) -> 2^(-h) sqrt(det*) det((1-U)/2)",
         "entry": "adiabatic.verify_theorem_main",
-        "runner": lambda cfg: _run_theorem(cfg, "main"),
+        "runner": lambda cfg: _run_theorem(cfg, verify_theorem_main,
+                                           "scaled_ratio"),
         "r_grid": (4.0, 8.0, 16.0, 32.0, 64.0),
         "tolerances": {"limit_gap": 1e-4},
         "tolerances_circle": {"limit_gap": 1e-3},
@@ -487,7 +466,7 @@ EXPERIMENTS = {
         "description": "boundary-operator determinant limit",
         "claim": "R^h det_R -> 2^(zeta(0)) det*(sqrt) det((1-U)/2)",
         "entry": "adiabatic.verify_theorem_dn",
-        "runner": lambda cfg: _run_theorem(cfg, "dn"),
+        "runner": _run_theorem_dn,
         "r_grid": (4.0, 8.0, 16.0, 32.0, 64.0),
         "tolerances": {"limit_gap": 1e-4, "triangle_gap": 1e-9},
         "tolerances_circle": {"limit_gap": 1e-3},
@@ -575,11 +554,9 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _provenance_lines(cfg: dict) -> list[str]:
-    return [
-        f"# zetaglue-artifact v{__version__}",
-        f"# experiment: {cfg['experiment']}",
-        f"# config-sha256: {_config_hash(cfg)}",
-    ]
+    return [f"# zetaglue-artifact v{__version__}",
+            f"# experiment: {cfg['experiment']}",
+            f"# config-sha256: {_config_hash(cfg)}"]
 
 
 def _strict_json(x):
@@ -594,29 +571,22 @@ def _strict_json(x):
     return x
 
 
-def _write_csv(path: Path, cfg: dict, cols, rows):
-    lines = _provenance_lines(cfg)
-    lines.append(",".join(cols))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_xy(path: Path, cfg: dict, points):
-    lines = _provenance_lines(cfg)
-    for x, y in points:
-        lines.append(f"{_fmt(float(x))} {_fmt(float(y))}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, cfg: dict, lines):
+    path.write_text("\n".join(_provenance_lines(cfg) + list(lines)) + "\n")
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> int:
     name = cfg["experiment"]
-    rows, cols, summary, xy, passed = EXPERIMENTS[name]["runner"](cfg)
+    cols, rows, summary, gates, xy = EXPERIMENTS[name]["runner"](cfg)
+    failing = [gate for gate, ok in gates.items() if not ok]
+    summary.update({gate: bool(ok) for gate, ok in gates.items()})
+    summary["pass"] = not failing
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / f"{name}.csv", cfg, cols, rows)
+    _write_lines(out_dir / f"{name}.csv", cfg, [",".join(cols)] + [
+        ",".join(_fmt(x) for x in row) for row in rows])
     summary_doc = {
         "experiment": name,
-        "passed": bool(passed),
+        "passed": not failing,
         "summary": summary,
         "provenance": {
             "artifact_version": __version__,
@@ -629,12 +599,11 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
                    allow_nan=False) + "\n")
     if cfg["xy_files"]:
         for series, points in xy.items():
-            _write_xy(out_dir / f"{name}_{series}.xy", cfg, points)
-    if not passed:
-        failing = [k for k, v in summary.items()
-                   if isinstance(v, bool) and not v and k != "pass"]
-        print(f"zetaglue: {name}: FAILED "
-              f"({', '.join(failing) if failing else 'see summary.json'})",
+            _write_lines(out_dir / f"{name}_{series}.xy", cfg,
+                         (f"{_fmt(float(x))} {_fmt(float(y))}"
+                          for x, y in points))
+    if failing:
+        print(f"zetaglue: {name}: FAILED ({', '.join(failing)})",
               file=sys.stderr)
         return 3
     print(f"zetaglue: {name}: pass")

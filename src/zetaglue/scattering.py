@@ -217,11 +217,6 @@ class ModelIdentitiesReport:
     def gap_cbar(self) -> float:
         return abs(self.log_det_cbar_star - self.log_rhs_cbar)
 
-    def ok(self, exact_tol: float = 1e-12, numeric_tol: float = 1e-8) -> bool:
-        return (self.gap_quarter <= exact_tol and self.gap_cbar <= exact_tol
-                and self.numeric_gap_quarter <= numeric_tol
-                and self.numeric_gap_cbar <= numeric_tol)
-
 
 def model_identities(geom: GlueGeometry, fiber: FiberSpectrum) -> ModelIdentitiesReport:
     """Verify the two model determinant identities, exactly and numerically.
@@ -455,17 +450,6 @@ class DNModeAsymptotics:
 class DNAsymptoticsReport:
     entries: tuple[DNModeAsymptotics, ...]
 
-    def ok(self, tol_match: float = 1e-12, tol_plus: float = 1e-14) -> bool:
-        """Every entry within tolerance; False with no entry to check."""
-        if not self.entries:
-            return False
-        for e in self.entries:
-            if abs(e.value_minus - e.model_matched) > tol_match * max(1.0, e.value_minus):
-                return False
-            if abs(e.value_plus) > tol_plus:
-                return False
-        return True
-
 
 def dn_zero_mode_asymptotics(geom: GlueGeometry,
                              fiber: FiberSpectrum) -> DNAsymptoticsReport:
@@ -532,10 +516,6 @@ class DetLReport:
     det_L: float
     rhs: float
     gap: float
-
-    @property
-    def ok(self) -> bool:
-        return self.gap <= 1e-12 * max(1.0, abs(self.rhs))
 
 
 def det_L_identity(geom: GlueGeometry) -> DetLReport:

@@ -159,6 +159,48 @@ def test_boolean_number_is_config_error(tmp_path, monkeypatch, capsys,
     assert f"config error: {path}: " in capsys.readouterr().err
 
 
+# a JSON string "false" is truthy, and str() accepted any value as a path
+@pytest.mark.parametrize("key,bad", [
+    ("xy_files", "false"), ("xy_files", 0), ("xy_files", None),
+    ("out_dir", [1, 2]), ("out_dir", 5), ("out_dir", False)])
+def test_non_boolean_xy_files_and_non_string_out_dir_are_config_errors(
+        tmp_path, monkeypatch, capsys, key, bad):
+    monkeypatch.setattr(cli, "run_experiment", _unreachable)
+    code = main(["run", str(write_config(tmp_path, dict(STD_CONFIG,
+                                                        **{key: bad})))])
+    assert code == 2
+    assert f"config error: $.{key}: " in capsys.readouterr().err
+
+
+def test_xy_files_false_writes_no_xy_file(tmp_path):
+    cfg = dict(STD_CONFIG, out_dir=str(tmp_path / "out"), xy_files=False)
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "bfk.csv", "summary.json"]
+
+
+# a repeated stretch divided by zero in the theorem extrapolation and
+# compared an svalues window with itself
+REPEATED_GRIDS = [
+    ("theorem-main", "r_grid", [4, 4, 8, 16, 32]),
+    ("svalues", "r_grid", [10, 10, 20]),
+    ("bfk", "r_grid", [8, 4]),
+    ("heat-cancellation", "t_grid", [0.25, 0.25, 1.0]),
+    ("model-identities", "thetas", [1.0, 1.0, 2.0]),
+]
+
+
+@pytest.mark.parametrize("experiment,key,grid", REPEATED_GRIDS,
+                         ids=[f"{e}-{k}" for e, k, _ in REPEATED_GRIDS])
+def test_grid_must_strictly_increase(tmp_path, monkeypatch, capsys,
+                                     experiment, key, grid):
+    monkeypatch.setattr(cli, "run_experiment", _unreachable)
+    cfg = dict(STD_CONFIG, experiment=experiment, **{key: grid})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert (f"config error: $.{key}: must be strictly increasing"
+            in capsys.readouterr().err)
+
+
 def test_model_identities_evaluates_reflected_towers_once(tmp_path,
                                                         monkeypatch):
     # 2 zero modes, thetas pi/3, pi/2, pi: 4 + 4 + 2 quarter-model towers
@@ -231,17 +273,20 @@ class TestRun:
         assert code == 3
         assert "FAILED" in capsys.readouterr().err
 
-    def test_bit_for_bit_reproducibility(self, tmp_path):
-        cfg = dict(STD_CONFIG, out_dir=str(tmp_path / "out"))
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_bit_for_bit_reproducibility(self, tmp_path, experiment):
+        out = tmp_path / "out"
+        cfg = dict(STD_CONFIG, experiment=experiment, out_dir=str(out))
         path = write_config(tmp_path, cfg)
-        assert main(["run", str(path)]) == 0
-        first_csv = (tmp_path / "out" / "bfk.csv").read_bytes()
-        first_sum = (tmp_path / "out" / "summary.json").read_bytes()
-        first_xy = (tmp_path / "out" / "bfk_bfk_vs_R.xy").read_bytes()
-        assert main(["run", str(path)]) == 0
-        assert (tmp_path / "out" / "bfk.csv").read_bytes() == first_csv
-        assert (tmp_path / "out" / "summary.json").read_bytes() == first_sum
-        assert (tmp_path / "out" / "bfk_bfk_vs_R.xy").read_bytes() == first_xy
+
+        def run():
+            code = main(["run", str(path)])
+            return code, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        code, first = run()
+        assert code == 0
+        assert {"summary.json", f"{experiment}.csv"} <= set(first)
+        assert run() == (code, first)
 
     def test_out_flag_overrides(self, tmp_path):
         cfg = dict(STD_CONFIG, out_dir=str(tmp_path / "ignored"))
@@ -279,6 +324,24 @@ class TestRun:
         xy = (tmp_path / "out" / "bfk_bfk_vs_R.xy").read_text().splitlines()
         assert xy[0].startswith("# zetaglue-artifact")
         assert len(xy[3].split()) == 2
+
+
+def test_trace_perp_underflow_fails_a_named_gate(tmp_path, capsys):
+    # past R of about 180 the difference underflows to 0.0, whose log ended
+    # the job with "numeric failure: math domain error"
+    out = tmp_path / "out"
+    cfg = dict(STD_CONFIG, experiment="trace-perp", out_dir=str(out),
+               r_grid=[3, 50, 100, 200, 400])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert "trace-perp: FAILED (nonzero_ok)" in err
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["nonzero_ok"] is False and summary["slope_ok"] is True
+    assert abs(summary["fitted_slope"] + 4.0) < 1e-6
+    rows = (out / "trace-perp.csv").read_text().splitlines()[4:]
+    assert [row.split(",")[1] for row in rows[-2:]] == ["0", "0"]
+    xy = (out / "trace-perp_log_abs_diff_vs_R.xy").read_text().splitlines()
+    assert [line.split()[0] for line in xy[3:]] == ["3", "50", "100"]
 
 
 def test_trace_perp_circle_fiber_runs(tmp_path):
@@ -381,3 +444,31 @@ def test_every_summary_is_strict_json(tmp_path, experiment):
     main(["run", str(write_config(tmp_path, cfg))])
     doc = _load_strict(tmp_path / "out" / "summary.json")
     assert doc["experiment"] == experiment
+
+
+@pytest.mark.parametrize("fiber", [STD_CONFIG["fiber"],
+                                   {"type": "circle", "circumference": 100.0}],
+                         ids=["finite", "circle-100"])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_pass_is_the_and_of_the_named_gates(tmp_path, capsys, experiment,
+                                            fiber):
+    out = tmp_path / "out"
+    cfg = dict(STD_CONFIG, experiment=experiment, fiber=fiber,
+               out_dir=str(out))
+    code = main(["run", str(write_config(tmp_path, cfg))])
+    err = capsys.readouterr().err
+    assert "see summary.json" not in err
+    if "numeric failure" in err:   # raised before any verdict was reached
+        assert code == 3 and not (out / "summary.json").exists()
+        return
+    doc = json.loads((out / "summary.json").read_text())
+    gates = {key: value for key, value in doc["summary"].items()
+             if isinstance(value, bool) and key != "pass"}
+    assert gates
+    assert doc["summary"]["pass"] is doc["passed"] is all(gates.values())
+    assert doc["passed"] == (code == 0)
+    if code:
+        line = err.strip().splitlines()[-1]
+        assert line.startswith(f"zetaglue: {experiment}: FAILED (")
+        named = line[line.index("(") + 1:-1].split(", ")
+        assert sorted(named) == sorted(k for k, v in gates.items() if not v)
