@@ -32,7 +32,7 @@ from .adiabatic import (
     verify_theorem_dn,
     verify_theorem_main,
 )
-from .glue import GlueGeometry, trace_perp_inverse_diff
+from .glue import GlueGeometry, condition_A_check, trace_perp_inverse_diff
 from .scattering import (
     det_L_identity,
     dn_zero_mode_asymptotics,
@@ -118,7 +118,7 @@ def _parse_fiber(obj, path="fiber") -> FiberSpectrum:
     raise ConfigError(f"{path}.type", "must be 'finite' or 'circle'")
 
 
-def _parse_geometry(obj, fiber: FiberSpectrum, path="geometry"):
+def _parse_geometry(obj, fiber: FiberSpectrum, path="geometry") -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be an object")
     _require_keys(obj, {"a1", "a2", "holonomy"}, path)
@@ -135,11 +135,7 @@ def _parse_geometry(obj, fiber: FiberSpectrum, path="geometry"):
     if len(hol) != fiber.h0:
         raise ConfigError(f"{path}.holonomy",
                           f"needs one phase per zero mode ({fiber.h0})")
-
-    def make(R: float) -> GlueGeometry:
-        return GlueGeometry(a1, a2, R, holonomy=hol)
-
-    return make
+    return {"a1": a1, "a2": a2, "holonomy": list(hol)}
 
 
 _TOP_KEYS = {"experiment", "fiber", "geometry", "r_grid", "t_grid", "thetas",
@@ -168,10 +164,8 @@ def resolve_config(raw: dict) -> dict:
                           f"must be one of {sorted(EXPERIMENTS)}")
     fiber = _parse_fiber(raw.get("fiber", {"type": "finite",
                                            "modes": [[0.0, 1], [1.0, 1]]}))
-    geom_raw = raw.get("geometry",
-                       {"a1": 1.0, "a2": 2.0,
-                        "holonomy": [math.pi / 2] * fiber.h0})
-    make_geom = _parse_geometry(geom_raw, fiber)
+    geometry = _parse_geometry(raw.get("geometry", {
+        "a1": 1.0, "a2": 2.0, "holonomy": [math.pi / 2] * fiber.h0}), fiber)
 
     reg = EXPERIMENTS[name]
     resolved = {
@@ -182,10 +176,7 @@ def resolve_config(raw: dict) -> dict:
             if fiber.kind == "finite"
             else {"type": "circle", "circumference": fiber.circumference}
         ),
-        "geometry": {
-            "a1": float(geom_raw["a1"]), "a2": float(geom_raw["a2"]),
-            "holonomy": [float(t) for t in geom_raw.get("holonomy", [])],
-        },
+        "geometry": geometry,
         "r_grid": _positive_grid(raw.get("r_grid", list(reg["r_grid"])),
                                  "$.r_grid"),
         "kappa": _number(raw.get("kappa", 0.75), "$.kappa",
@@ -199,16 +190,13 @@ def resolve_config(raw: dict) -> dict:
                             ("xy_files", bool, "true or false")):
         if not isinstance(resolved[key], kind):
             raise ConfigError(f"$.{key}", f"must be {what}")
-    if "t_grid" in raw or name == "heat-cancellation":
-        resolved["t_grid"] = _positive_grid(
-            raw.get("t_grid", [0.25, 1.0, 4.0]), "$.t_grid")
-    if "thetas" in raw or name == "model-identities":
-        resolved["thetas"] = _positive_grid(
-            raw.get("thetas", [math.pi / 3, math.pi / 2, math.pi]),
-            "$.thetas")
-        for i, t in enumerate(resolved["thetas"]):
-            if not (0.0 < t < 2 * math.pi):
-                raise ConfigError(f"$.thetas[{i}]", "must lie in (0, 2pi)")
+    for key in ("t_grid", "thetas"):   # set in the config or by the row
+        if key in raw or key in reg:
+            resolved[key] = _positive_grid(raw.get(key, list(reg.get(key, ()))),
+                                           f"$.{key}")
+    for i, t in enumerate(resolved.get("thetas", ())):
+        if not (0.0 < t < 2 * math.pi):
+            raise ConfigError(f"$.thetas[{i}]", "must lie in (0, 2pi)")
     tol = dict(reg["tolerances"])
     if fiber.kind == "circle":
         tol.update(reg.get("tolerances_circle", {}))
@@ -221,21 +209,19 @@ def resolve_config(raw: dict) -> dict:
         tol[key] = _number(v, f"$.tolerances.{key}",
                            "must be a finite positive number", _positive)
     resolved["tolerances"] = tol
-    if name == "trace-perp" and not math.isfinite(fiber.min_nonzero):
-        raise ConfigError("$.fiber", "trace-perp needs a nonzero mode")
-    resolved["_fiber"] = fiber
-    resolved["_make_geom"] = make_geom
+    if reg.get("needs_nonzero_mode") and not math.isfinite(fiber.min_nonzero):
+        raise ConfigError("$.fiber", f"{name} needs a nonzero mode")
     return resolved
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners: each returns (columns, rows, summary, gates, xy), gates
-# mapping a gate name to its verdict; run_experiment alone combines them
+# Experiment runners: each takes the config, the geometry at the first
+# stretch and the fiber, and returns (columns, rows, summary, gates, xy),
+# gates mapping a gate name to its verdict; run_experiment alone combines them
 # ---------------------------------------------------------------------------
 
-def _run_bfk(cfg):
-    fiber, make = cfg["_fiber"], cfg["_make_geom"]
-    result = sweep(make(cfg["r_grid"][0]), fiber, cfg["r_grid"])
+def _run_bfk(cfg, geom, fiber):
+    result = sweep(geom, fiber, cfg["r_grid"])
     check = verify_bfk_corollary(result, rel_tol=cfg["tolerances"]["rel_dev"])
     cols = ["R", "log_det_M", "log_det_M1", "log_det_M2", "log_det_R",
             "bfk_ratio", "rel_dev"]
@@ -255,9 +241,8 @@ def _run_bfk(cfg):
     return cols, rows, summary, {"constant_ok": check.passed}, xy
 
 
-def _run_theorem(cfg, verify, col):
-    fiber, make = cfg["_fiber"], cfg["_make_geom"]
-    result = sweep(make(cfg["r_grid"][0]), fiber, cfg["r_grid"])
+def _run_theorem(cfg, geom, fiber, verify, col):
+    result = sweep(geom, fiber, cfg["r_grid"])
     check = verify(result, tol=cfg["tolerances"]["limit_gap"])
     rows = [[r.R, getattr(r, col), abs(getattr(r, col) - check.predicted)]
             for r in result.rows]
@@ -277,64 +262,66 @@ def _run_theorem(cfg, verify, col):
     return ["R", col, "deviation_from_predicted"], rows, summary, gates, xy
 
 
-def _run_theorem_dn(cfg):
-    cols, rows, summary, gates, xy = _run_theorem(cfg, verify_theorem_dn,
-                                                  "scaled_det_R")
-    gap = consistency_triangle_gap(cfg["_make_geom"](cfg["r_grid"][0]),
-                                   cfg["_fiber"])
+def _run_theorem_dn(cfg, geom, fiber):
+    cols, rows, summary, gates, xy = _run_theorem(
+        cfg, geom, fiber, verify_theorem_dn, "scaled_det_R")
+    gap = consistency_triangle_gap(geom, fiber)
     summary["consistency_triangle_gap"] = gap
     gates["triangle_ok"] = gap <= cfg["tolerances"]["triangle_gap"]
     return cols, rows, summary, gates, xy
 
 
-def _run_svalues(cfg):
-    fiber, make = cfg["_fiber"], cfg["_make_geom"]
-    kappa = cfg["kappa"]
-    rows, reports, quant_worst = [], {}, {}
-    for R in cfg["r_grid"]:
-        geom = make(R)
-        for which in ("M", "M1", "M2"):
-            rep = svalue_report(which, geom, fiber, kappa)
-            reports[(which, R)] = rep
-            for lam, s, m, res in rep.pairs:
-                rows.append([R, which, lam, s, m, res])
-            if which in ("M1", "M2"):
-                quant_worst[(which, R)] = max(
-                    (abs(2 * R * lam - round(2 * R * lam / math.pi) * math.pi)
-                     for lam, _, _, _ in rep.pairs), default=0.0)
+def _run_svalues(cfg, geom, fiber):
+    kappa, grid = cfg["kappa"], cfg["r_grid"]
+    # a zero holonomy phase fails every stretch alike: ends the job, as in sweep
+    condition_A_check(geom, fiber).raise_if_failed()
+    rows, reports, quant_worst, failed = [], {}, {}, []
+    for R in grid:
+        try:
+            reports[R] = {w: svalue_report(w, geom.with_R(R), fiber, kappa)
+                          for w in ("M", "M1", "M2")}
+        except ValueError as exc:   # row failed, the grid goes on
+            failed.append([R, str(exc)])
+            continue
+        for which, rep in reports[R].items():
+            rows.extend([R, which, *pair] for pair in rep.pairs)
+        # piece quantization |2 R lambda - k pi| <= c R^{-kappa}
+        quant_worst[R] = max(
+            (abs(2 * R * lam - round(2 * R * lam / math.pi) * math.pi)
+             for w in ("M1", "M2") for lam, *_ in reports[R][w].pairs),
+            default=0.0)
     cols = ["R", "operator", "lambda", "scaled_value", "model_value",
             "residual"]
-    ratios = []
-    grid = cfg["r_grid"]
+    ratios, done = [], list(reports)
     for which in ("M", "M1", "M2"):
-        for r_small, r_large in zip(grid, grid[1:]):
-            ratios.extend(svalue_rate_ratios(reports[(which, r_small)],
-                                             reports[(which, r_large)]))
+        for r_small, r_large in zip(done, done[1:]):
+            ratios.extend(svalue_rate_ratios(reports[r_small][which],
+                                             reports[r_large][which]))
     lo, hi = cfg["tolerances"]["rate_low"], cfg["tolerances"]["rate_high"]
-    # piece quantization |2 R lambda - k pi| <= c R^{-kappa}
-    r_ref = grid[-1]
-    c_hat = max(quant_worst.get(("M1", r_ref), 0.0),
-                quant_worst.get(("M2", r_ref), 0.0)) * r_ref ** kappa
+    r_ref = (done or grid)[-1]
+    c_hat = quant_worst.get(r_ref, 0.0) * r_ref ** kappa
     gates = {
-        "bijective": all(rep.bijective for rep in reports.values()),
+        "window_ok": not failed,
+        "bijective": all(rep.bijective for reps in reports.values()
+                         for rep in reps.values()),
         # no pair, no rate: an empty zero-mode space checks nothing
         "rates_ok": bool(ratios) and all(lo <= r <= hi for r in ratios),
         "quantization_ok": all(w <= 2.0 * c_hat * R ** (-kappa) + 1e-15
-                               for (which_, R), w in quant_worst.items()),
+                               for R, w in quant_worst.items()),
     }
-    summary = {"rate_ratios": ratios, "quantization_c_hat": c_hat}
+    summary = {"rate_ratios": ratios, "quantization_c_hat": c_hat,
+               "failed_rows": failed}
     xy = {"worst_residual_vs_R":
-          [(R, max(reports[(w, R)].worst_residual for w in ("M", "M1", "M2")))
-           for R in grid]}
+          [(R, max(rep.worst_residual for rep in reps.values()))
+           for R, reps in reports.items()]}
     return cols, rows, summary, gates, xy
 
 
-def _run_dn_asymptotics(cfg):
-    fiber, make = cfg["_fiber"], cfg["_make_geom"]
+def _run_dn_asymptotics(cfg, geom, fiber):
     rows = []
     worst_match, worst_plus = 0.0, 0.0
     for R in cfg["r_grid"]:
-        rep = dn_zero_mode_asymptotics(make(R), fiber)
+        rep = dn_zero_mode_asymptotics(geom.with_R(R), fiber)
         for e in rep.entries:
             err = abs(e.value_minus - e.model_matched)
             rows.append([R, e.piece, e.mode, e.value_minus, e.model_matched,
@@ -352,10 +339,9 @@ def _run_dn_asymptotics(cfg):
     return cols, rows, summary, gates, {}
 
 
-def _run_heat_cancellation(cfg):
-    fiber, make = cfg["_fiber"], cfg["_make_geom"]
-    rep = verify_lemma_cancellation(make(cfg["r_grid"][0]), fiber,
-                                    Rs=cfg["r_grid"], ts=cfg["t_grid"])
+def _run_heat_cancellation(cfg, geom, fiber):
+    rep = verify_lemma_cancellation(geom, fiber, Rs=cfg["r_grid"],
+                                    ts=cfg["t_grid"])
     cols = ["R", "t", "log_abs_deviation", "log_bound"]
     rows = [[R, t, lg, math.log(rep.c1_hat) - rep.c2_hat * R * R / t]
             for R, t, lg in rep.rows]
@@ -367,9 +353,8 @@ def _run_heat_cancellation(cfg):
     return cols, rows, summary, gates, xy
 
 
-def _run_trace_perp(cfg):
-    fiber, make = cfg["_fiber"], cfg["_make_geom"]
-    rows = [[R, trace_perp_inverse_diff(make(R), fiber)]
+def _run_trace_perp(cfg, geom, fiber):
+    rows = [[R, trace_perp_inverse_diff(geom.with_R(R), fiber)]
             for R in cfg["r_grid"]]
     # fitted to the rows whose difference did not underflow to 0.0
     logs = [(R, math.log(abs(diff))) for R, diff in rows if diff != 0.0]
@@ -385,17 +370,15 @@ def _run_trace_perp(cfg):
             {"log_abs_diff_vs_R": logs})
 
 
-def _run_model_identities(cfg):
-    fiber, make = cfg["_fiber"], cfg["_make_geom"]
-    geom0 = make(cfg["r_grid"][0])
+def _run_model_identities(cfg, geom, fiber):
     rows = []
     worst_exact, worst_numeric, worst_detl = 0.0, 0.0, 0.0
-    geoms = [GlueGeometry(geom0.a1, geom0.a2, geom0.R,
+    geoms = [GlueGeometry(geom.a1, geom.a2, geom.R,
                           holonomy=tuple([theta] * fiber.h0))
              for theta in cfg["thetas"]]
-    for theta, geom, mi in zip(cfg["thetas"], geoms,
-                               model_identities_over(geoms, fiber)):
-        dl = det_L_identity(geom)
+    for theta, geom_theta, mi in zip(cfg["thetas"], geoms,
+                                     model_identities_over(geoms, fiber)):
+        dl = det_L_identity(geom_theta)
         single = abs(model_zeta_single_phase(theta).log_det
                      - model_logdet([theta]))
         rows.append([theta, mi.log_det_quarter_c12, mi.gap_quarter,
@@ -417,11 +400,9 @@ def _run_model_identities(cfg):
     return cols, rows, summary, gates, {}
 
 
-def _run_split(cfg):
-    fiber, make = cfg["_fiber"], cfg["_make_geom"]
-    R = cfg["r_grid"][-1]
-    rep = verify_smalltime_largetime_split(make(R), fiber,
-                                           epsilon=cfg["epsilon"])
+def _run_split(cfg, geom, fiber):
+    rep = verify_smalltime_largetime_split(geom.with_R(cfg["r_grid"][-1]),
+                                           fiber, epsilon=cfg["epsilon"])
     cols = ["window", "raw", "counterterm", "limit_value", "gap"]
     rows = [
         ["small", rep.small_raw, rep.small_counterterm,
@@ -444,7 +425,7 @@ EXPERIMENTS = {
         "primary_tol": "rel_dev",
         "description": "per-stretch gluing-constant identity",
         "claim": "det_M/(det_M1 det_M2 det_R) = 2^(-zeta(0)-h) at every R",
-        "entry": "adiabatic.verify_bfk_corollary",
+        "entry": verify_bfk_corollary,
         "runner": _run_bfk,
         "r_grid": (2.0, 4.0, 8.0, 16.0, 32.0),
         "tolerances": {"rel_dev": 1e-9},
@@ -454,9 +435,9 @@ EXPERIMENTS = {
         "primary_tol": "limit_gap",
         "description": "determinant-ratio limit under stretching",
         "claim": "R^h det_M/(det_M1 det_M2) -> 2^(-h) sqrt(det*) det((1-U)/2)",
-        "entry": "adiabatic.verify_theorem_main",
-        "runner": lambda cfg: _run_theorem(cfg, verify_theorem_main,
-                                           "scaled_ratio"),
+        "entry": verify_theorem_main,
+        "runner": lambda cfg, geom, fiber: _run_theorem(
+            cfg, geom, fiber, verify_theorem_main, "scaled_ratio"),
         "r_grid": (4.0, 8.0, 16.0, 32.0, 64.0),
         "tolerances": {"limit_gap": 1e-4},
         "tolerances_circle": {"limit_gap": 1e-3},
@@ -465,7 +446,7 @@ EXPERIMENTS = {
         "primary_tol": "limit_gap",
         "description": "boundary-operator determinant limit",
         "claim": "R^h det_R -> 2^(zeta(0)) det*(sqrt) det((1-U)/2)",
-        "entry": "adiabatic.verify_theorem_dn",
+        "entry": verify_theorem_dn,
         "runner": _run_theorem_dn,
         "r_grid": (4.0, 8.0, 16.0, 32.0, 64.0),
         "tolerances": {"limit_gap": 1e-4, "triangle_gap": 1e-9},
@@ -475,7 +456,7 @@ EXPERIMENTS = {
         "primary_tol": "rate_high",
         "description": "small-eigenvalue quantization and model matching",
         "claim": "(R lambda)^2 matches the model towers at rate 1/R, bijectively",
-        "entry": "scattering.svalue_report",
+        "entry": svalue_report,
         "runner": _run_svalues,
         "r_grid": (10.0, 20.0, 40.0, 80.0),
         "tolerances": {"rate_low": 1.6, "rate_high": 2.4},
@@ -484,7 +465,7 @@ EXPERIMENTS = {
         "primary_tol": "match_err",
         "description": "zero-mode boundary pairings vs scattering prediction",
         "claim": "pairing on the -1 vector equals (1/R)(1-alpha/2R)^(-1)",
-        "entry": "scattering.dn_zero_mode_asymptotics",
+        "entry": dn_zero_mode_asymptotics,
         "runner": _run_dn_asymptotics,
         "r_grid": (5.0, 10.0, 20.0, 40.0),
         "tolerances": {"match_err": 1e-12, "plus_bound": 1e-14},
@@ -493,27 +474,30 @@ EXPERIMENTS = {
         "primary_tol": "bound_slack",
         "description": "relative heat trace vs half cross-section trace",
         "claim": "|relative trace - half cross-section trace| <= c1 e^(-c2 R^2/t)",
-        "entry": "adiabatic.verify_lemma_cancellation",
+        "entry": verify_lemma_cancellation,
         "runner": _run_heat_cancellation,
         "r_grid": (4.0, 6.0, 8.0),
+        "t_grid": (0.25, 1.0, 4.0),
         "tolerances": {"c2_min": 0.5, "bound_slack": 2.0},
     },
     "trace-perp": {
         "primary_tol": "slope_rel",
         "description": "inverse boundary operator vs doubled square root",
         "claim": "off-kernel trace difference decays like e^(-4 mu_min R)",
-        "entry": "glue.trace_perp_inverse_diff",
+        "entry": trace_perp_inverse_diff,
         "runner": _run_trace_perp,
         "r_grid": (3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
+        "needs_nonzero_mode": True,
         "tolerances": {"slope_rel": 0.1},
     },
     "model-identities": {
         "primary_tol": "numeric_gap",
         "description": "model-operator determinant identities",
         "claim": "det = 4^d prod sin^2(a/2); quarter/reflected identities hold",
-        "entry": "scattering.model_identities_over",
+        "entry": model_identities_over,
         "runner": _run_model_identities,
         "r_grid": (10.0,),
+        "thetas": (math.pi / 3, math.pi / 2, math.pi),
         "tolerances": {"exact_gap": 1e-12, "numeric_gap": 1e-8,
                        "det_L_gap": 1e-12},
     },
@@ -521,7 +505,7 @@ EXPERIMENTS = {
         "primary_tol": "asymptote_gap",
         "description": "small-time/large-time window decomposition",
         "claim": "window contributions sum to the relative zeta derivative",
-        "entry": "adiabatic.verify_smalltime_largetime_split",
+        "entry": verify_smalltime_largetime_split,
         "runner": _run_split,
         "r_grid": (4.0, 8.0, 16.0, 32.0, 64.0),
         "tolerances": {"sum_gap": 1e-6, "asymptote_gap": 0.03},
@@ -535,7 +519,8 @@ def list_experiments() -> str:
         reg = EXPERIMENTS[name]
         lines.append(f"{name:18s} {reg['description']}")
         lines.append(f"{'':18s} checks: {reg['claim']}")
-        lines.append(f"{'':18s} entry:  zetaglue.{reg['entry']}")
+        entry = reg["entry"]
+        lines.append(f"{'':18s} entry:  {entry.__module__}.{entry.__name__}")
     return "\n".join(lines)
 
 
@@ -543,13 +528,8 @@ def list_experiments() -> str:
 # Output writing
 # ---------------------------------------------------------------------------
 
-def _config_for_output(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if not k.startswith("_")}
-
-
 def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(_config_for_output(cfg), sort_keys=True,
-                      separators=(",", ":"))
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -577,7 +557,10 @@ def _write_lines(path: Path, cfg: dict, lines):
 
 def run_experiment(cfg: dict, out_dir: Path) -> int:
     name = cfg["experiment"]
-    cols, rows, summary, gates, xy = EXPERIMENTS[name]["runner"](cfg)
+    fiber = _parse_fiber(cfg["fiber"])
+    geom = GlueGeometry(R=cfg["r_grid"][0], **cfg["geometry"])
+    cols, rows, summary, gates, xy = EXPERIMENTS[name]["runner"](
+        cfg, geom, fiber)
     failing = [gate for gate, ok in gates.items() if not ok]
     summary.update({gate: bool(ok) for gate, ok in gates.items()})
     summary["pass"] = not failing
@@ -591,7 +574,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         "provenance": {
             "artifact_version": __version__,
             "config_sha256": _config_hash(cfg),
-            "resolved_config": _config_for_output(cfg),
+            "resolved_config": cfg,
         },
     }
     (out_dir / "summary.json").write_text(

@@ -70,6 +70,9 @@ class GlueGeometry:
         if not (0.0 < self.a1 < math.inf and 0.0 < self.a2 < math.inf
                 and 0.0 < self.R < math.inf):
             raise ValueError("a1, a2, R must be finite and positive")
+        if not math.isfinite(self.C):
+            raise ValueError(f"circumference a1 + a2 + 4R overflows at "
+                             f"R = {self.R:.17g}")
         object.__setattr__(self, "holonomy", tuple(float(t) for t in self.holonomy))
         for t in self.holonomy:
             if not (0.0 <= t < 2.0 * math.pi):

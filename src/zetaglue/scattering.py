@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# cap on the roots svalues_exact enumerates for one operator at one stretch;
+# its window holds about h0 R^(-kappa) length / pi of them
+MAX_WINDOW_ROOTS = 100_000
 
 
 def _piece_matrix(piece: int, lam: float, geom: GlueGeometry) -> np.ndarray:
@@ -284,7 +287,8 @@ def svalues_exact(which: str, geom: GlueGeometry, fiber: FiberSpectrum,
 
     which: 'M' for the glued circle, 'M1'/'M2' for the cut pieces.  The
     window stays below the first transverse threshold, so only zero modes
-    contribute.
+    contribute; a window past it, or one holding more than
+    MAX_WINDOW_ROOTS roots, raises ValueError.
     """
     condition_A_check(geom, fiber).raise_if_failed()
     if not math.isfinite(kappa):
@@ -292,15 +296,23 @@ def svalues_exact(which: str, geom: GlueGeometry, fiber: FiberSpectrum,
     window = geom.R ** (-kappa)
     if window >= fiber.min_nonzero:
         raise ValueError("window reaches past the first transverse threshold")
+    lengths = {"M": geom.C, "M1": geom.L1, "M2": geom.L2}
+    if which not in lengths:
+        raise ValueError("which must be 'M', 'M1' or 'M2'")
+    # the roots lie pi / length apart per zero mode: count before enumerating
+    count = fiber.h0 * window * lengths[which] / math.pi
+    if count > MAX_WINDOW_ROOTS:
+        raise ValueError(f"window holds about {count:.3g} roots, "
+                         f"more than {MAX_WINDOW_ROOTS}")
     out: list[tuple[float, int]] = []
     if which in ("M1", "M2"):
-        L = geom.L1 if which == "M1" else geom.L2
+        L = lengths[which]
         for j in range(fiber.h0):
             n = 1
             while math.pi * n / L <= window:
                 out.append((math.pi * n / L, j))
                 n += 1
-    elif which == "M":
+    else:
         C = geom.C
         for j, theta in enumerate(geom.holonomy):
             n = 0
@@ -311,8 +323,6 @@ def svalues_exact(which: str, geom: GlueGeometry, fiber: FiberSpectrum,
             while (TWO_PI * n - theta) / C <= window:
                 out.append(((TWO_PI * n - theta) / C, j))
                 n += 1
-    else:
-        raise ValueError("which must be 'M', 'M1' or 'M2'")
     out.sort()
     return out
 
@@ -322,19 +332,15 @@ class SValueReport:
     """Matched small eigenvalues against the model spectrum.
 
     pairs hold (exact lambda, scaled exact value, model value, residual);
-    the matching is a sorted bijection inside the window, and the report
-    flags residuals past the fitted threshold plus any cardinality
-    mismatch beyond the allowed window boundary shift.
+    the matching is a sorted bijection inside the window, and
+    cardinality_ok is false on a count mismatch beyond the allowed window
+    boundary shift.
     """
 
     kappa: float
     R: float
     pairs: tuple[tuple[float, float, float, float], ...]
-    window_edge: float
-    shift_allowance: float
     cardinality_ok: bool
-    flagged: tuple[int, ...]
-    fitted_c: float
 
     @property
     def bijective(self) -> bool:
@@ -347,8 +353,7 @@ class SValueReport:
 
 def svalue_match(exact: list[tuple[float, int]], model_roots: list[float],
                  R: float, kappa: float = 0.75,
-                 shift: float = math.pi / 2.0,
-                 c_hat: float | None = None) -> SValueReport:
+                 shift: float = math.pi / 2.0) -> SValueReport:
     """Greedy nearest-neighbor (order) bijection in scaled coordinates.
 
     Scaled coordinate is (R lambda)^2; model_roots are the positive roots
@@ -359,7 +364,6 @@ def svalue_match(exact: list[tuple[float, int]], model_roots: list[float],
     """
     scaled = [(lam, (R * lam) ** 2) for lam, _ in exact]
     n = len(scaled)
-    edge = R ** (1.0 - kappa)
     lo = max(0.0, R ** (1.0 - kappa) - shift)
     hi = R ** (1.0 - kappa) + shift
     cardinality_ok = True
@@ -372,23 +376,14 @@ def svalue_match(exact: list[tuple[float, int]], model_roots: list[float],
             cardinality_ok = False
         if n < len(model_roots) and model_roots[n] <= lo:
             cardinality_ok = False
-    pairs = []
-    for (lam, s), root in zip(scaled, chosen):
-        pairs.append((lam, s, root * root, abs(s - root * root)))
-    worst = max((p[3] for p in pairs), default=0.0)
-    rate = R ** (1.0 - 2.0 * kappa)
-    fitted = c_hat if c_hat is not None else (worst / rate if worst else 0.0)
-    threshold = 5.0 * fitted * rate
-    flagged = tuple(i for i, p in enumerate(pairs) if p[3] > threshold)
-    return SValueReport(
-        kappa=kappa, R=R, pairs=tuple(pairs), window_edge=edge,
-        shift_allowance=shift, cardinality_ok=cardinality_ok,
-        flagged=flagged, fitted_c=fitted,
-    )
+    pairs = tuple((lam, s, root * root, abs(s - root * root))
+                  for (lam, s), root in zip(scaled, chosen))
+    return SValueReport(kappa=kappa, R=R, pairs=pairs,
+                        cardinality_ok=cardinality_ok)
 
 
 def svalue_report(which: str, geom: GlueGeometry, fiber: FiberSpectrum,
-                  kappa: float = 0.75, c_hat: float | None = None) -> SValueReport:
+                  kappa: float = 0.75) -> SValueReport:
     """Window, model spectrum and matching for one operator in one call."""
     exact = svalues_exact(which, geom, fiber, kappa)
     R = geom.R
@@ -403,8 +398,7 @@ def svalue_report(which: str, geom: GlueGeometry, fiber: FiberSpectrum,
         roots = roots[::2]
         # quarter-scaled composite model; window edge 2 R1^{1-kappa} on the
         # unscaled roots means R1^{1-kappa} on these
-        return svalue_match(exact, roots, R, kappa,
-                            shift=math.pi / 4.0, c_hat=c_hat)
+        return svalue_match(exact, roots, R, kappa, shift=math.pi / 4.0)
     alphas = []
     for _ in range(fiber.h0):
         alphas.extend([0.0, math.pi])
@@ -412,8 +406,7 @@ def svalue_report(which: str, geom: GlueGeometry, fiber: FiberSpectrum,
     roots = model_positive_roots(alphas, root_max)
     # reflected-piece model towers double the physical count; halve them
     roots = roots[::2]
-    return svalue_match(exact, roots, R, kappa,
-                        shift=math.pi / 2.0, c_hat=c_hat)
+    return svalue_match(exact, roots, R, kappa, shift=math.pi / 2.0)
 
 
 def svalue_rate_ratios(rep_small: SValueReport, rep_large: SValueReport) -> list[float]:
@@ -439,7 +432,6 @@ class DNModeAsymptotics:
     mode: int
     value_minus: float          # pairing on the -1 eigenvector
     value_plus: float           # pairing on the +1 eigenvector
-    exact_minus: float          # 2 / L_i
     alpha_derived: float        # from the family derivative at 0
     model_matched: float        # (1/R)(1 - alpha/2R)^{-1} with matched sign
     model_mismatched: float     # same with the opposite sign
@@ -492,7 +484,7 @@ def dn_zero_mode_asymptotics(geom: GlueGeometry,
                 matched, mismatched, sign = m_b, m_a, -1
             entries.append(DNModeAsymptotics(
                 piece=piece, mode=j, value_minus=val_m, value_plus=val_p,
-                exact_minus=2.0 / L, alpha_derived=alpha,
+                alpha_derived=alpha,
                 model_matched=matched, model_mismatched=mismatched,
                 matched_sign=sign,
             ))

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import time
 
 import pytest
 
@@ -39,6 +41,17 @@ class TestListing:
         assert out.count("entry:") == 9
         assert out.count("checks:") == 9
 
+    def test_list_entries_are_importable_callables(self, capsys):
+        assert main(["list"]) == 0
+        entries = [line.split("entry:")[1].strip()
+                   for line in capsys.readouterr().out.splitlines()
+                   if "entry:" in line]
+        assert len(entries) == 9
+        for entry in entries:
+            module, _, name = entry.rpartition(".")
+            assert module.startswith("zetaglue.")
+            assert callable(getattr(importlib.import_module(module), name))
+
 
 class TestConfigValidation:
     def test_unknown_top_key(self):
@@ -71,6 +84,14 @@ class TestConfigValidation:
         assert cfg["r_grid"] == [2.0, 4.0, 8.0, 16.0, 32.0]
         assert cfg["tolerances"] == {"rel_dev": 1e-9}
         assert cfg["out_dir"] == "out"
+
+    @pytest.mark.parametrize("extra", [{}, {"t_grid": [0.5, 2.0],
+                                            "thetas": [1.0, 2.0]}],
+                             ids=["defaults", "grids"])
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_resolved_config_is_data(self, experiment, extra):
+        cfg = resolve_config(dict(STD_CONFIG, experiment=experiment, **extra))
+        assert json.loads(json.dumps(cfg, allow_nan=False)) == cfg
 
     def test_circle_tolerance_default(self):
         cfg = resolve_config({
@@ -458,9 +479,6 @@ def test_pass_is_the_and_of_the_named_gates(tmp_path, capsys, experiment,
     code = main(["run", str(write_config(tmp_path, cfg))])
     err = capsys.readouterr().err
     assert "see summary.json" not in err
-    if "numeric failure" in err:   # raised before any verdict was reached
-        assert code == 3 and not (out / "summary.json").exists()
-        return
     doc = json.loads((out / "summary.json").read_text())
     gates = {key: value for key, value in doc["summary"].items()
              if isinstance(value, bool) and key != "pass"}
@@ -472,3 +490,44 @@ def test_pass_is_the_and_of_the_named_gates(tmp_path, capsys, experiment,
         assert line.startswith(f"zetaglue: {experiment}: FAILED (")
         named = line[line.index("(") + 1:-1].split(", ")
         assert sorted(named) == sorted(k for k, v in gates.items() if not v)
+
+
+def test_svalues_window_past_threshold_fails_a_named_gate(tmp_path, capsys):
+    # the windows at R = 10, 20, 40 reach past mu_min = 2 pi / 100: the job
+    # ended with "numeric failure" and wrote nothing
+    out = tmp_path / "out"
+    cfg = dict(STD_CONFIG, experiment="svalues", out_dir=str(out),
+               fiber={"type": "circle", "circumference": 100.0})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err
+    assert "svalues: FAILED (window_ok, rates_ok)" in err
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["failed_rows"] == [
+        [R, "window reaches past the first transverse threshold"]
+        for R in (10.0, 20.0, 40.0)]
+    rows = (out / "svalues.csv").read_text().splitlines()[4:]
+    assert rows and {row.split(",")[0] for row in rows} == {"80"}
+
+
+def test_svalues_huge_stretch_ends_as_a_failed_row(tmp_path, capsys):
+    # the window at R = 1e300 holds about 1e75 roots; they were enumerated
+    # one at a time
+    out = tmp_path / "out"
+    cfg = dict(STD_CONFIG, experiment="svalues", out_dir=str(out),
+               r_grid=[10, 1e300])
+    start = time.perf_counter()
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "svalues: FAILED (window_ok" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    [[R, error]] = summary["failed_rows"]
+    assert R == 1e300 and "roots, more than" in error
+
+
+def test_stretch_overflow_has_a_message(tmp_path, capsys):
+    # C = a1 + a2 + 4R overflows: the message was empty
+    cfg = dict(STD_CONFIG, r_grid=[1e308], out_dir=str(tmp_path / "out"))
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("zetaglue: numeric failure: ")
+    assert "a1 + a2 + 4R overflows at R = 1e+308" in err

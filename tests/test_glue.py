@@ -36,6 +36,12 @@ class TestGeometry:
         with pytest.raises(ValueError, match="finite"):
             GlueGeometry(**lengths, holonomy=(1.0,))
 
+    @pytest.mark.parametrize("R", [5e307, 1e308])
+    def test_circumference_overflow_named(self, R):
+        # a bare assert failed here, with no message and not at all under -O
+        with pytest.raises(ValueError, match="a1 \\+ a2 \\+ 4R overflows"):
+            GlueGeometry(1.0, 2.0, R, holonomy=(1.0,))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_stretch_grid_rejected(self, std_fiber, std_geom, bad):
         with pytest.raises(ValueError, match="finite"):
