@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,27 +78,16 @@ class SweepResult:
     fiber: FiberSpectrum
     geom_template: GlueGeometry
 
-    @property
+    @cached_property
+    def _computed(self) -> tuple[SweepRow, ...]:
+        return tuple(r for r in self.rows if not r.failed)
+
+    @cached_property
     def Rs(self) -> tuple[float, ...]:
-        return tuple(r.R for r in self.rows if not r.failed)
+        return self.column("R")
 
     def column(self, name: str) -> tuple[float, ...]:
-        return tuple(getattr(r, name) for r in self.rows if not r.failed)
-
-
-def _sweep_row(R: float, asm, h_Y: int) -> SweepRow:
-    """One row from logdet_grid's entry at stretch R, marked failed when
-    the entry is an error or a determinant overflows a float."""
-    try:
-        if isinstance(asm, Exception):
-            raise asm
-        scale = R ** h_Y
-        return SweepRow(R, asm.log_det_M, asm.log_det_M1, asm.log_det_M2,
-                        asm.log_det_R, scale * math.exp(asm.log_ratio),
-                        scale * math.exp(asm.log_det_R),
-                        math.exp(asm.log_bfk_ratio))
-    except Exception as exc:  # row marked failed, sweep continues
-        return SweepRow(R, *[math.nan] * 7, failed=True, error=str(exc))
+        return tuple(getattr(r, name) for r in self._computed)
 
 
 def sweep(geom_template: GlueGeometry, fiber: FiberSpectrum,
@@ -105,14 +95,22 @@ def sweep(geom_template: GlueGeometry, fiber: FiberSpectrum,
     """Fill the determinant columns over a stretch grid, in grid order.
 
     All stretches are evaluated together by logdet_grid: one array pass
-    for a finite fiber, one pass per stretch for a circle fiber.
+    for a finite fiber, one pass per stretch for a circle fiber.  The rows
+    come straight off its total columns.
     """
-    condition_A_check(geom_template, fiber).raise_if_failed()
-    h_Y = 2 * fiber.h0
-    Rs = sorted(float(R) for R in R_grid)
-    entries = logdet_grid(geom_template, fiber, Rs)
-    rows = tuple(_sweep_row(R, asm, h_Y) for R, asm in zip(Rs, entries))
-    return SweepResult(rows, h_Y, fiber, geom_template)
+    grid = logdet_grid(geom_template, fiber, sorted(map(float, R_grid)))
+    rows = []
+    for R, M, M1, M2, D, error in zip(grid.Rs, *grid.totals, grid.errors):
+        try:
+            if error is not None:
+                raise error
+            scale, log_ratio = R ** grid.h_Y, M - M1 - M2
+            rows.append(SweepRow(R, M, M1, M2, D, scale * math.exp(log_ratio),
+                                 scale * math.exp(D), math.exp(log_ratio - D)))
+        except Exception as exc:  # row marked failed, sweep continues
+            rows.append(SweepRow(R, *[math.nan] * 7, failed=True,
+                                 error=str(exc)))
+    return SweepResult(tuple(rows), grid.h_Y, fiber, geom_template)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +137,7 @@ class FitReport:
 
 def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> float:
     """Value at 0 of the polynomial through (xs, ys)."""
-    t = list(ys)
-    n = len(t)
+    t, n = list(ys), len(ys)
     for m in range(1, n):
         for i in range(n - m):
             t[i] = (xs[i + m] * t[i] - xs[i] * t[i + 1]) / (xs[i + m] - xs[i])
@@ -149,8 +146,7 @@ def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def extrapolate(Rs, vals) -> FitReport:
     """Extrapolate a 1/R power series to its limit on a geometric grid."""
-    Rs = np.asarray(Rs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
+    Rs, vals = np.asarray(Rs, dtype=float), np.asarray(vals, dtype=float)
     if len(Rs) < 3:
         raise ValueError("need at least 3 grid points")
     x = 1.0 / Rs
@@ -158,27 +154,18 @@ def extrapolate(Rs, vals) -> FitReport:
 
     V = np.vstack([np.ones_like(x), x, x * x]).T
     coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    fitted = V @ coeffs
-    devs = vals - fitted
+    devs = vals - V @ coeffs
     r_max = float(Rs.max())
     uncertainty = abs(coeffs[1]) / r_max + abs(coeffs[2]) / r_max ** 2
 
     scale = max(abs(limit), 1e-300)
     mask = np.abs(vals - limit) > 1e3 * np.finfo(float).eps * scale
-    if mask.sum() >= 2:
-        slope = np.polyfit(np.log(Rs[mask]),
-                           np.log(np.abs(vals[mask] - limit)), 1)[0]
-        exponent = -float(slope)
-    else:
-        exponent = math.nan
-    return FitReport(
-        limit=float(limit),
-        coeffs=(float(coeffs[0]), float(coeffs[1]), float(coeffs[2])),
-        residual_norm=float(np.linalg.norm(devs)),
-        deviations=tuple(float(d) for d in devs),
-        uncertainty=float(uncertainty),
-        convergence_exponent=exponent,
-    )
+    exponent = (-float(np.polyfit(np.log(Rs[mask]),
+                                  np.log(np.abs(vals[mask] - limit)), 1)[0])
+                if mask.sum() >= 2 else math.nan)
+    return FitReport(float(limit), tuple(map(float, coeffs)),
+                     float(np.linalg.norm(devs)), tuple(map(float, devs)),
+                     float(uncertainty), exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +182,17 @@ def _log_det_half_complement(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
                      for t in geom.holonomy)
 
 
-def _exp(x: float) -> float:
-    """e^x, inf where that overflows a float."""
+def _exp(x: float, exp=math.exp) -> float:
+    """exp(x), e^x or math.expm1's e^x - 1; inf where that overflows."""
     try:
-        return math.exp(x)
+        return exp(x)
     except OverflowError:
         return math.inf
 
 
 def _log_main_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
-    h_Y = 2 * fiber.h0
-    return (-h_Y * math.log(2.0) + fiber_zeta_data(fiber).log_det  # one copy
+    return (-2 * fiber.h0 * math.log(2.0)
+            + fiber_zeta_data(fiber).log_det  # one copy
             + _log_det_half_complement(geom, fiber))
 
 
@@ -216,8 +203,7 @@ def predicted_main_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
 
 
 def _log_dn_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
-    z = fiber_zeta_data(fiber)
-    sq = fiber_sqrt_zeta_data(fiber)
+    z, sq = fiber_zeta_data(fiber), fiber_sqrt_zeta_data(fiber)
     log_value = 2.0 * z.zeta_at_zero * math.log(2.0) + 2.0 * sq.log_det
     # same number through the scaled square root; the doubling identity
     assert abs(log_value - 2.0 * fiber_scaled_sqrt_logdet(fiber)) <= 1e-10
@@ -233,9 +219,7 @@ def predicted_dn_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
 def _bfk_exponent(fiber: FiberSpectrum) -> float:
     """-zeta(0) - h over the doubled cross-section, the base-2 log of the
     gluing constant; finite where the constant underflows (past 2^-1074)."""
-    z = fiber_zeta_data(fiber)
-    h_Y = 2 * fiber.h0
-    return -2.0 * z.zeta_at_zero - h_Y
+    return -2.0 * fiber_zeta_data(fiber).zeta_at_zero - 2 * fiber.h0
 
 
 def predicted_bfk_constant(fiber: FiberSpectrum) -> float:
@@ -274,9 +258,8 @@ def _theorem_check(result: SweepResult, column: str, predicted: float,
         return TheoremCheck(None, predicted, False, math.nan, False, failed)
     fit = extrapolate(result.Rs, result.column(column))
     gap = abs(fit.limit - predicted)
-    exp_ok = 0.8 <= fit.convergence_exponent <= 1.2
-    return TheoremCheck(fit, predicted, gap <= tol and not failed, gap, exp_ok,
-                        failed)
+    return TheoremCheck(fit, predicted, gap <= tol and not failed, gap,
+                        0.8 <= fit.convergence_exponent <= 1.2, failed)
 
 
 def verify_theorem_main(result: SweepResult, tol: float = 1e-4) -> TheoremCheck:
@@ -308,24 +291,27 @@ def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck
     """The gluing constant holds per row, with no extrapolation; fails when
     any row failed or when no row is left to check.
 
-    Each row's relative deviation is |expm1(log ratio - log constant)|, the
-    log ratio being log det M - log det M1 - log det M2 - log det R, so the
-    check never divides by a constant that underflowed.
+    Each row's relative deviation is |expm1(log ratio - log constant)|, inf
+    past the float range, the log ratio being log det M - log det M1 -
+    log det M2 - log det R, so the check never divides by a constant that
+    underflowed.
     """
     exponent = _bfk_exponent(result.fiber)
     log_predicted = exponent * math.log(2.0)
-    rel_devs = tuple(abs(math.expm1((r.log_det_M - r.log_det_M1 - r.log_det_M2
-                                     - r.log_det_R) - log_predicted))
-                     for r in result.rows)
-    worst = max((d for d, r in zip(rel_devs, result.rows) if not r.failed),
-                default=0.0)
-    ratios = result.column("bfk_ratio")
-    failed = tuple((r.R, r.error) for r in result.rows if r.failed)
+    rel_devs, ratios, failed, worst = [], [], [], 0.0
+    for r in result.rows:
+        dev = abs(_exp((r.log_det_M - r.log_det_M1 - r.log_det_M2
+                        - r.log_det_R) - log_predicted, math.expm1))
+        rel_devs.append(dev)
+        if r.failed:
+            failed.append((r.R, r.error))
+        else:
+            ratios.append(r.bfk_ratio)
+            if dev > worst:
+                worst = dev
     passed = bool(ratios) and not failed and worst <= rel_tol
-    return BfkCheck(predicted=2.0 ** exponent,
-                    log_predicted=log_predicted, max_rel_dev=worst,
-                    passed=passed, per_row=ratios, rel_devs=rel_devs,
-                    failed_rows=failed)
+    return BfkCheck(2.0 ** exponent, log_predicted, worst, passed,
+                    tuple(ratios), tuple(rel_devs), tuple(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +321,8 @@ def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck
 def _modes_through(fiber: FiberSpectrum, mu_max: float) -> int | None:
     """Mode-table length holding a circle fiber's modes up to mu_max and the
     first one past it; None, the whole table, for a finite fiber."""
-    if fiber.kind == "finite":
-        return None
-    return int(mu_max * fiber.circumference / (2.0 * math.pi)) + 2
+    return (None if fiber.kind == "finite"
+            else int(mu_max * fiber.circumference / (2.0 * math.pi)) + 2)
 
 
 # exp(-x) underflows past this: modes with t mu^2 beyond it drop out of the
@@ -401,8 +386,7 @@ class _TwistGroups:
         if np.ndim(t):
             return self._relative_traces(geom, np.asarray(t, dtype=float))
         self._check(t)
-        k_1 = heat_trace_dirichlet(geom.L1, 0.0, t)
-        k_2 = heat_trace_dirichlet(geom.L2, 0.0, t)
+        k_1, k_2 = (heat_trace_dirichlet(L, 0.0, t) for L in (geom.L1, geom.L2))
         terms = []
         for theta, _, mu2, mult, _ in self.groups:
             n = int(np.searchsorted(mu2, _EXP_CUT / t, side="right"))
@@ -414,8 +398,7 @@ class _TwistGroups:
 
     def _relative_traces(self, geom: GlueGeometry, t: np.ndarray) -> np.ndarray:
         self._check(float(t.min()))
-        k_1 = _heat_trace_dirichlet_mu0(geom.L1, t)
-        k_2 = _heat_trace_dirichlet_mu0(geom.L2, t)
+        k_1, k_2 = (_heat_trace_dirichlet_mu0(L, t) for L in (geom.L1, geom.L2))
         total = np.zeros_like(t)
         for theta, _, mu2, mult, _ in self.groups:
             n = int(np.searchsorted(mu2, _EXP_CUT / t.min(), side="right"))
@@ -458,8 +441,7 @@ class _TwistGroups:
             logs = log_mult[:n] - t * mu2[:n]
             top = float(logs.max())
             base = pref + top + math.log(float(np.exp(logs - top).sum()))
-            m = 1
-            while True:
+            for m in range(1, 65):
                 ex_c = m * m * C * C / (4.0 * t)
                 ex_1 = m * m * L1 * L1 / t
                 ex_2 = m * m * L2 * L2 / t
@@ -471,9 +453,6 @@ class _TwistGroups:
                                     math.copysign(1.0, cosv)))
                 entries.append((base + math.log(L1) - ex_1, -1.0))
                 entries.append((base + math.log(L2) - ex_2, -1.0))
-                m += 1
-                if m > 64:
-                    break
         if not entries:
             return -math.inf, 1.0
         top = max(lg for lg, _ in entries)
@@ -485,12 +464,8 @@ class _TwistGroups:
 
 def relative_heat_trace(geom: GlueGeometry, fiber: FiberSpectrum,
                         t: float) -> float:
-    """Tr of the glued heat operator minus both cut pieces, by mode sums.
-
-    The mode sum is factored by twist (see _TwistGroups): one mu = 0 circle
-    trace per distinct twist and one pair of interval traces, weighted by
-    W_theta(t) = sum mult e^{-t mu^2} over the modes with t mu^2 <= 745.
-    """
+    """Tr of the glued heat operator minus both cut pieces, by mode sums
+    factored by twist (see _TwistGroups.relative_trace)."""
     return _TwistGroups(geom, fiber, t).relative_trace(geom, t)
 
 
@@ -545,10 +520,8 @@ def verify_lemma_cancellation(geom_template: GlueGeometry,
     rows = []
     for R in Rs:
         geom = geom_template.with_R(R)
-        t_list = list(ts) + [R]
-        for t in t_list:
-            lg, _ = groups.log_abs_deviation(geom, t)
-            rows.append((R, float(t), lg))
+        rows += [(R, float(t), groups.log_abs_deviation(geom, t)[0])
+                 for t in [*ts, R]]
     r_max = Rs[-1]
     xs = np.array([R * R / t for R, t, lg in rows if R == r_max])
     ys = np.array([lg for R, t, lg in rows if R == r_max])
@@ -754,9 +727,7 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     if not math.isfinite(epsilon):  # a NaN window edge has no integral
         raise ValueError("epsilon must be finite")
     condition_A_check(geom, fiber).raise_if_failed()
-    R = geom.R
-    h0 = fiber.h0
-    h_Y = 2 * h0
+    R, h0 = geom.R, fiber.h0
     T = R ** (2.0 - epsilon)
 
     z_fiber = fiber_zeta_data(fiber)
@@ -770,9 +741,8 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
         tail_y = tail_y[:int(np.argmax(tail_y < 1e-18)) + 1]
     tail_y_val = math.fsum(tail_y.tolist())
 
-    lengths = [geom.L1 ** 2, geom.L2 ** 2, geom.C ** 2 / 4.0]
-    t_lo = min(min(lengths) / 69.0, 0.5 * T)
-
+    t_lo = min(min(geom.L1 ** 2, geom.L2 ** 2, geom.C ** 2 / 4.0) / 69.0,
+               0.5 * T)
     groups = _TwistGroups(geom, fiber, t_lo)
 
     def dev(u: np.ndarray) -> np.ndarray:
@@ -784,30 +754,23 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     small_counterterm = h0 * (EULER_GAMMA + math.log(T))
     small_raw = (small_counterterm + z_fiber.zeta_prime_at_zero
                  - tail_y_val + i_dev)
-
     # large window: integrate the relative trace from T out to decay; the
     # slowest rates are the interval ground states, the zero-mode twists
     # and the lowest nonzero fiber frequency (the twist-0 group)
-    lam_min_sq = min((math.pi / geom.L1) ** 2, (math.pi / geom.L2) ** 2,
-                     fiber.min_nonzero ** 2)
-    for th in geom.holonomy:
-        lam_min_sq = min(lam_min_sq, (min(th, 2 * math.pi - th) / geom.C) ** 2)
-    t_end = 80.0 / lam_min_sq
-    i_large, large_quad_error = _integrate(
+    lam_min_sq = min([(math.pi / geom.L1) ** 2, (math.pi / geom.L2) ** 2,
+                      fiber.min_nonzero ** 2]
+                     + [(min(th, 2 * math.pi - th) / geom.C) ** 2
+                        for th in geom.holonomy])
+    large_raw, large_quad_error = _integrate(
         lambda u: groups.relative_trace(geom, np.exp(u)),
-        math.log(T), math.log(t_end))
-    large_raw = i_large
+        math.log(T), math.log(80.0 / lam_min_sq))
     large_counterterm = h0 * (EULER_GAMMA - epsilon * math.log(R))
-
     # model value of the large-time limit
-    alphas = []
-    for theta in geom.holonomy:
-        alphas.extend([theta, 2.0 * math.pi - theta])
-    log_quarter = model_logdet(alphas)
+    log_quarter = model_logdet([a for theta in geom.holonomy
+                                for a in (theta, 2.0 * math.pi - theta)])
     log_cbar_star = 2.0 * (model_logdet_star([0.0, math.pi] * h0)[0])
     large_limit = 0.5 * (-log_quarter + log_cbar_star)
 
-    asm = logdet_closed(geom, fiber)
     return SplitReport(
         R=R, epsilon=epsilon, T=T,
         small_raw=small_raw, small_counterterm=small_counterterm,
@@ -815,7 +778,7 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
         large_raw=large_raw, large_counterterm=large_counterterm,
         large_limit_value=large_limit,
         sum_quadrature=small_raw + large_raw,
-        log_ratio_closed=asm.log_ratio,
-        asymptote=h_Y * math.log(R) - _log_main_limit(geom, fiber),
+        log_ratio_closed=logdet_closed(geom, fiber).log_ratio,
+        asymptote=2 * h0 * math.log(R) - _log_main_limit(geom, fiber),
         small_quad_error=small_quad_error, large_quad_error=large_quad_error,
     )

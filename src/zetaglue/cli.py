@@ -318,10 +318,16 @@ def _run_svalues(cfg, geom, fiber):
 
 
 def _run_dn_asymptotics(cfg, geom, fiber):
-    rows = []
+    # a zero holonomy phase fails every stretch alike: ends the job, as in sweep
+    condition_A_check(geom, fiber).raise_if_failed()
+    rows, failed = [], []
     worst_match, worst_plus = 0.0, 0.0
     for R in cfg["r_grid"]:
-        rep = dn_zero_mode_asymptotics(geom.with_R(R), fiber)
+        try:
+            rep = dn_zero_mode_asymptotics(geom.with_R(R), fiber)
+        except ValueError as exc:   # row failed, the grid goes on
+            failed.append([R, str(exc)])
+            continue
         for e in rep.entries:
             err = abs(e.value_minus - e.model_matched)
             rows.append([R, e.piece, e.mode, e.value_minus, e.model_matched,
@@ -332,9 +338,11 @@ def _run_dn_asymptotics(cfg, geom, fiber):
             "match_error", "pairing_plus", "alpha", "matched_sign"]
     # no zero mode, no entry: nothing was checked, and the worst is undefined
     summary = {"worst_match_error": worst_match if rows else None,
-               "worst_plus_pairing": worst_plus if rows else None}
+               "worst_plus_pairing": worst_plus if rows else None,
+               "failed_rows": failed}
     tol = cfg["tolerances"]
-    gates = {"match_ok": bool(rows) and worst_match <= tol["match_err"],
+    gates = {"rows_ok": not failed,
+             "match_ok": bool(rows) and worst_match <= tol["match_err"],
              "plus_ok": bool(rows) and worst_plus <= tol["plus_bound"]}
     return cols, rows, summary, gates, {}
 
@@ -354,8 +362,12 @@ def _run_heat_cancellation(cfg, geom, fiber):
 
 
 def _run_trace_perp(cfg, geom, fiber):
-    rows = [[R, trace_perp_inverse_diff(geom.with_R(R), fiber)]
-            for R in cfg["r_grid"]]
+    rows, failed = [], []
+    for R in cfg["r_grid"]:
+        try:
+            rows.append([R, trace_perp_inverse_diff(geom.with_R(R), fiber)])
+        except ValueError as exc:   # row failed, the grid goes on
+            failed.append([R, str(exc)])
     # fitted to the rows whose difference did not underflow to 0.0
     logs = [(R, math.log(abs(diff))) for R, diff in rows if diff != 0.0]
     slope = (float(np.polyfit(*zip(*logs), 1)[0]) if len(logs) >= 2
@@ -363,8 +375,9 @@ def _run_trace_perp(cfg, geom, fiber):
     expected = -4.0 * fiber.min_nonzero
     rel = abs(slope - expected) / abs(expected)
     summary = {"fitted_slope": slope, "expected_slope": expected,
-               "slope_rel_gap": rel}
-    gates = {"slope_ok": rel <= cfg["tolerances"]["slope_rel"],
+               "slope_rel_gap": rel, "failed_rows": failed}
+    gates = {"rows_ok": not failed,
+             "slope_ok": rel <= cfg["tolerances"]["slope_rel"],
              "nonzero_ok": len(logs) == len(rows)}
     return (["R", "trace_perp_diff"], rows, summary, gates,
             {"log_abs_diff_vs_R": logs})

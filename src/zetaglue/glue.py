@@ -17,6 +17,7 @@ subtraction, which is the cross-check that pins the renormalization.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -37,6 +38,7 @@ __all__ = [
     "AssembledDeterminants",
     "condition_A_check",
     "mode_table",
+    "DeterminantGrid",
     "logdet_grid",
     "logdet_closed",
     "bfk_ratio",
@@ -118,14 +120,10 @@ def condition_A_check(geom: GlueGeometry, fiber: FiberSpectrum) -> ConditionARep
     of the boundary-response operator as well).
     """
     if len(geom.holonomy) != fiber.h0:
-        raise ValueError(
-            f"holonomy must carry one phase per zero mode "
-            f"({fiber.h0} needed, {len(geom.holonomy)} given)"
-        )
-    bad = tuple(
-        f"zero mode {j}: holonomy phase 0 gives a flat circle mode"
-        for j, t in enumerate(geom.holonomy) if t == 0.0
-    )
+        raise ValueError(f"holonomy must carry one phase per zero mode "
+                         f"({fiber.h0} needed, {len(geom.holonomy)} given)")
+    bad = tuple(f"zero mode {j}: holonomy phase 0 gives a flat circle mode"
+                for j, t in enumerate(geom.holonomy) if t == 0.0)
     return ConditionAReport(ok=not bad, violations=bad,
                             common_fixed_space_trivial=not bad)
 
@@ -253,100 +251,138 @@ def _nonzero_logs(mu, cos_t, L1, L2, C):
         np.log(4.0 * mu * mu) + _block_remainder(xs[1], xs[2], cos_t),)
 
 
-def _entry(R, totals, h_Y, regularization, mode_logs):
-    if not all(map(math.isfinite, totals)):
-        return ValueError(f"non-finite log-determinant at R={R:g}")
-    return AssembledDeterminants(*totals, h_Y, regularization, mode_logs)
+@dataclass(frozen=True, eq=False)
+class DeterminantGrid(Sequence):
+    """logdet_grid's columns: per stretch, the total log det M, M1, M2, R
+    and the error that stopped it, or None; the mode table, zero modes
+    first, and its modes x stretches logs, of which stretch j uses the
+    first counts[j] modes.  Entry j is built on access."""
+
+    Rs: tuple[float, ...]
+    totals: tuple[list[float], ...]
+    errors: tuple[Exception | None, ...]
+    h_Y: int
+    regularization: dict | None
+    # mu, mult, theta, then the four logs, as in AssembledDeterminants
+    mode_logs: tuple[np.ndarray, ...] = field(repr=False)
+    counts: tuple[int, ...] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.Rs)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(map(self.__getitem__, range(len(self))[j]))
+        if self.errors[j] is not None:
+            return self.errors[j]
+        n, reg = self.counts[j], self.regularization
+        return AssembledDeterminants(
+            *(col[j] for col in self.totals), self.h_Y, reg and dict(reg),
+            tuple(a[:n] if a.ndim == 1 else a[:n, j] for a in self.mode_logs))
 
 
+def _fsums(rows: list) -> list[float]:
+    """math.fsum of each row; nan for one whose partial sums overflow."""
+    try:
+        return list(map(math.fsum, rows))
+    except OverflowError:
+        return [_fsums([r])[0] for r in rows] if len(rows) > 1 else [math.nan]
+
+
+@np.errstate(over="ignore")   # a total past the float range fails its stretch
 def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
-                tail_eps: float = 1e-16, max_modes: int | None = None) -> tuple:
-    """logdet_closed at each stretch in Rs, a1, a2 and phases from geom: one
-    modes x stretches pass for a finite fiber, one pass per stretch for a
-    circle fiber.  Per stretch, the AssembledDeterminants or the error that
-    stopped it (RuntimeError: no convergence; ValueError: non-finite)."""
+                tail_eps: float = 1e-16,
+                max_modes: int | None = None) -> DeterminantGrid:
+    """All four log-determinants at each stretch in Rs, by closed forms; a1,
+    a2 and the phases come from geom.  Finite fibers sum per-mode values
+    exactly, in one modes x stretches pass.  Circle fibers, one pass per
+    stretch, subtract the divergent growth per mode (mu C, mu L_i - log mu,
+    log 4 mu^2), assign the subtracted sums their continued values, and cut
+    the remainder series once below tail_eps.  Raises on a condition
+    violation; a stretch's error is a RuntimeError (no cut within max_modes)
+    or a ValueError (a total past the float range)."""
     condition_A_check(geom, fiber).raise_if_failed()
     Rs = np.asarray(Rs, dtype=float)
     if not np.all(np.isfinite(Rs) & (Rs > 0)):
         raise ValueError("a1, a2, R must be finite and positive")
     L1, L2 = geom.a1 + 2.0 * Rs, geom.a2 + 2.0 * Rs
     C = geom.a1 + geom.a2 + 4.0 * Rs
-    h_Y = 2 * fiber.h0
     # zero modes: dets 2 - 2 cos theta, 2 L_i, (2 - 2 cos theta) / (L1 L2)
     hol = np.array(geom.holonomy)
     flat = np.log(2.0 - 2.0 * np.cos(hol))[:, None]
     zero_logs = np.broadcast_arrays(flat, np.log(2.0 * L1), np.log(2.0 * L2),
                                     flat - np.log(L1 * L2))
-    zero_modes = (np.zeros(len(hol)), np.ones(len(hol), dtype=np.int64), hol)
-
-    def with_zero_modes(table):
-        return tuple(map(np.concatenate, zip(zero_modes, table)))
-
+    zeros = (np.zeros(len(hol)), np.ones(len(hol), dtype=np.int64), hol)
+    reg, errors = None, [None] * len(Rs)
     if fiber.kind == "finite":
         mu, mult, theta = mode_table(geom, fiber)
-        logs = _nonzero_logs(mu[:, None], np.cos(theta)[:, None], L1, L2, C)
-        full = [np.vstack(pair) for pair in zip(zero_logs, logs)]
-        table = with_zero_modes((mu, mult, theta))
+        table = tuple(map(np.concatenate, zip(zeros, (mu, mult, theta))))
+        logs = tuple(map(np.vstack, zip(zero_logs, _nonzero_logs(
+            mu[:, None], np.cos(theta)[:, None], L1, L2, C))))
         # per stretch, the math.fsum of each mult-weighted column
-        weights = table[1][:, None]
-        totals = zip(*([math.fsum(at_R) for at_R in (weights * col).T.tolist()]
-                       for col in full))
-        return tuple(_entry(R, tot, h_Y, None,
-                            table + tuple(col[:, j] for col in full))
-                     for j, (R, tot) in enumerate(zip(Rs.tolist(), totals)))
+        totals = [_fsums((table[1][:, None] * col).T.tolist()) for col in logs]
+        counts = (len(table[0]),) * len(Rs)
+    else:
+        # circle fibers: continued sums of the growth subtracted per mode,
+        # plus the remainders through the first mode where all three are small
+        sq = fiber_sqrt_zeta_data(fiber)
+        reg = {"sum_mu": fiber_sqrt_zeta_at_minus_one(fiber), "mode_count":
+               sq.zeta_at_zero, "sum_log_mu": -sq.zeta_prime_at_zero}
+        s_mu, s_cnt, s_log = reg.values()
+        limit = max_modes or 100_000
+        totals = [[math.nan] * len(Rs) for _ in range(4)]
+        scanned = [((),) * 4] * len(Rs)   # each stretch's four remainders
+        for j, (l1, l2, c) in enumerate(np.stack([L1, L2, C], 1).tolist()):
+            scale = 1.0 + abs(c * s_mu)
+            if math.isinf(scale):   # so is the head c * s_mu: failed below
+                continue
 
-    # circle fibers: continued sums of the growth subtracted per mode, plus
-    # the remainders through the first mode where all three are small
-    sq = fiber_sqrt_zeta_data(fiber)
-    reg = {"sum_mu": fiber_sqrt_zeta_at_minus_one(fiber),
-           "mode_count": sq.zeta_at_zero, "sum_log_mu": -sq.zeta_prime_at_zero}
-    s_mu, s_cnt, s_log = reg.values()
-    limit = max_modes or 100_000
-    entries = []
-    for j, (R, l1, l2, c) in enumerate(zip(Rs.tolist(), L1.tolist(),
-                                           L2.tolist(), C.tolist())):
-        scale = 1.0 + abs(c * s_mu)
+            def remainders(mu, mult, theta):
+                cos_t = np.cos(theta)
+                rems = (*_growth_remainders(mu * c, mu * l1, mu * l2, cos_t),
+                        _block_remainder(mu * l1, mu * l2, cos_t))
+                largest = np.max(np.abs(rems[:3]), axis=0)
+                return rems + (largest,), largest < tail_eps * scale
 
-        def remainders(mu, mult, theta):
-            cos_t = np.cos(theta)
-            rems = (*_growth_remainders(mu * c, mu * l1, mu * l2, cos_t),
-                    _block_remainder(mu * l1, mu * l2, cos_t))
-            largest = np.max(np.abs(rems[:3]), axis=0)
-            return rems + (largest,), largest < tail_eps * scale
-
-        # the largest remainder is about 2 exp(-mu min(C, 2 L1, 2 L2))
-        reach = (max(math.log(3.0 / (tail_eps * scale)), 0.0)
-                 / min(c, 2.0 * l1, 2.0 * l2))
-        stopped, table, rems = _scan_circle(
-            geom, fiber, remainders,
-            int(reach * fiber.circumference / (2.0 * math.pi)) + 2, limit)
-        if not stopped:
-            entries.append(RuntimeError(
-                f"fiber regularization did not converge within {limit} "
-                f"modes (last remainder {rems[-1][-1]:.3e})"))
-            continue
-        table = with_zero_modes(table)
-        heads = (c * s_mu, l1 * s_mu - s_log, l2 * s_mu - s_log,
-                 2.0 * math.log(2.0) * s_cnt + 2.0 * s_log)
-        columns = [np.concatenate([z[:, j], r])
-                   for z, r in zip(zero_logs, rems[:4])]
-        totals = [math.fsum([head] + (table[1] * col).tolist())
-                  for head, col in zip(heads, columns)]
-        entries.append(_entry(R, totals, h_Y, dict(reg), table + tuple(columns)))
-    return tuple(entries)
+            # the largest remainder is about 2 exp(-mu min(C, 2 L1, 2 L2))
+            reach = (max(math.log(3.0 / (tail_eps * scale)), 0.0)
+                     / min(c, 2.0 * l1, 2.0 * l2))
+            stopped, (_, mult, _), rems = _scan_circle(
+                geom, fiber, remainders,
+                int(reach * fiber.circumference / (2.0 * math.pi)) + 2, limit)
+            if not stopped:
+                errors[j] = RuntimeError(
+                    f"fiber regularization did not converge within {limit} "
+                    f"modes (last remainder {rems[-1][-1]:.3e})")
+                continue
+            heads = (c * s_mu, l1 * s_mu - s_log, l2 * s_mu - s_log,
+                     2.0 * math.log(2.0) * s_cnt + 2.0 * s_log)
+            for total, head, z, rem in zip(totals, heads, zero_logs, rems):
+                total[j] = math.fsum([head] + z[:, j].tolist()
+                                     + (mult * rem).tolist())
+            scanned[j] = rems[:4]
+        # one table through the longest scan; stretch-major logs, of which
+        # only the rows a stretch fills take memory
+        h0, n = len(hol), max((len(r[0]) for r in scanned), default=0)
+        table = tuple(map(np.concatenate, zip(zeros, mode_table(geom, fiber, n))))
+        logs = tuple(np.zeros((h0 + n, len(Rs)), order="F") for _ in zero_logs)
+        for j, rems in enumerate(scanned):
+            for col, z, rem in zip(logs, zero_logs, rems):
+                col[:h0 + len(rem), j] = np.concatenate([z[:, j], rem])
+        counts = tuple(h0 + len(r[0]) for r in scanned)
+    Rs = tuple(Rs.tolist())
+    # a stretch that stopped early keeps its error
+    for j in np.flatnonzero(~np.isfinite(totals).all(axis=0)).tolist():
+        errors[j] = errors[j] or ValueError(
+            f"non-finite log-determinant at R={Rs[j]:g}")
+    return DeterminantGrid(Rs, tuple(totals), tuple(errors), 2 * fiber.h0,
+                           reg, table + logs, counts)
 
 
 def logdet_closed(geom: GlueGeometry, fiber: FiberSpectrum,
                   tail_eps: float = 1e-16,
                   max_modes: int | None = None) -> AssembledDeterminants:
-    """All four log-determinants of the assembled geometry, by closed forms.
-
-    Finite fibers sum per-mode values exactly.  Circle fibers subtract the
-    divergent growth per mode (mu C, mu L_i - log mu, log 4 mu^2) and assign
-    the subtracted sums their continued values; the remainder series are cut
-    once below tail_eps.  Raises on a condition violation, and reports the
-    cutoff when the remainder series fails to fall below tail_eps.
-    """
+    """logdet_grid at geom.R alone; raises that stretch's error."""
     (entry,) = logdet_grid(geom, fiber, (geom.R,), tail_eps, max_modes)
     if isinstance(entry, Exception):
         raise entry
@@ -359,6 +395,7 @@ def bfk_ratio(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
     return math.exp(logdet_closed(geom, fiber).log_bfk_ratio)
 
 
+@np.errstate(over="ignore")   # mu L past the float range: a term of 0
 def trace_perp_inverse_diff(geom: GlueGeometry, fiber: FiberSpectrum,
                             tail_eps: float = 1e-18) -> float:
     """Trace of (block inverse minus the large-R limit) over nonzero modes.

@@ -491,16 +491,28 @@ class TestGeneralizedInstances:
 
 
 def test_sweep_row_failure_is_marked():
-    from zetaglue.adiabatic import _sweep_row
-
     fib = FiberSpectrum.finite([(0.0, 1)])
-    bad = GlueGeometry(1.0, 2.0, 4.0, holonomy=(0.0,))
-    with pytest.raises(ConditionAViolation) as raised:
-        logdet_closed(bad, fib)
-    row = _sweep_row(bad.R, raised.value, 2)
+    # a zero holonomy phase fails every stretch alike: the sweep raises
+    with pytest.raises(ConditionAViolation, match="zero mode"):
+        sweep(GlueGeometry(1.0, 2.0, 4.0, holonomy=(0.0,)), fib)
+    # one stretch whose determinants overflow fails its row alone
+    g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(1.5,))
+    good, row = sweep(g, fib, (4.0, 1e308)).rows
+    assert not good.failed and good.log_det_M == logdet_closed(g, fib).log_det_M
     assert row.failed
-    assert "zero mode" in row.error
+    assert row.error == "non-finite log-determinant at R=1e+308"
     assert math.isnan(row.scaled_ratio)
+
+
+def test_circle_sweep_past_the_float_range_fails_its_rows():
+    # C = inf made the mode scan take log(0): the whole sweep raised "math
+    # domain error"
+    fib = FiberSpectrum.circle(3.0)
+    g = GlueGeometry(1.0, 2.0, 2.0, holonomy=(1.5,))
+    good, *rows = sweep(g, fib, (2.0, 1e307, 1e308)).rows
+    assert not good.failed and good.log_det_M == logdet_closed(g, fib).log_det_M
+    assert [(r.failed, r.error) for r in rows] == [
+        (True, f"non-finite log-determinant at R={R:g}") for R in (1e307, 1e308)]
 
 
 def test_bfk_fails_when_rows_fail():

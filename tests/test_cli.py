@@ -1,10 +1,15 @@
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import zetaglue
 from zetaglue import cli, spectral_core
 from zetaglue.cli import (
     EXPERIMENTS,
@@ -12,6 +17,8 @@ from zetaglue.cli import (
     main,
     resolve_config,
 )
+
+SRC = Path(zetaglue.__file__).resolve().parents[1]
 
 STD_CONFIG = {
     "experiment": "bfk",
@@ -531,3 +538,54 @@ def test_stretch_overflow_has_a_message(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("zetaglue: numeric failure: ")
     assert "a1 + a2 + 4R overflows at R = 1e+308" in err
+
+
+@pytest.mark.parametrize("experiment", ["trace-perp", "dn-asymptotics"])
+def test_overflowing_stretch_is_a_failed_row(tmp_path, capsys, experiment):
+    # C = a1 + a2 + 4R overflows at R = 1e308: the job ended with "numeric
+    # failure" and wrote nothing
+    out = tmp_path / "out"
+    cfg = dict(STD_CONFIG, experiment=experiment, out_dir=str(out),
+               r_grid=[3, 1e307, 1e308])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    assert f"{experiment}: FAILED (rows_ok" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["rows_ok"] is False
+    assert summary["failed_rows"] == [
+        [1e308, "circumference a1 + a2 + 4R overflows at R = 1e+308"]]
+    rows = (out / f"{experiment}.csv").read_text().splitlines()[4:]
+    assert {float(row.split(",")[0]) for row in rows} == {3.0, 1e307}
+
+
+@pytest.mark.parametrize("experiment", ["trace-perp", "dn-asymptotics"])
+def test_rows_ok_on_the_default_grid(tmp_path, experiment):
+    out = tmp_path / "out"
+    cfg = dict(STD_CONFIG, experiment=experiment, out_dir=str(out))
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["failed_rows"] == [] and summary["rows_ok"] is True
+
+
+@pytest.mark.parametrize("experiment, modes, r_grid, line", [
+    ("bfk", [[0.0, 1], [1.0, 1]], [2, 1e308], "bfk: FAILED (constant_ok)"),
+    # L1 L2 overflows past R = 6.7e153, mu L1 past 9e306 for mu = 10
+    ("bfk", [[0.0, 1], [10.0, 1]], [3, 1e200, 1e307, 1e308],
+     "bfk: FAILED (constant_ok)"),
+    ("trace-perp", [[0.0, 1], [10.0, 1]], [3, 1e307, 1e308],
+     "trace-perp: FAILED (rows_ok, slope_ok, nonzero_ok)"),
+], ids=["bfk-1e308", "bfk-past-1e153", "trace-perp-1e308"])
+def test_overflowing_stretch_prints_no_numpy_warning(tmp_path, experiment,
+                                                     modes, r_grid, line):
+    # numpy printed a RuntimeWarning block, with file paths, per overflowing
+    # product; a fresh interpreter shows each warning, which this one may not
+    cfg = dict(STD_CONFIG, experiment=experiment, r_grid=r_grid,
+               fiber={"type": "finite", "modes": modes})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetaglue.cli", "run",
+         str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"zetaglue: {line}"]

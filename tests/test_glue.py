@@ -17,6 +17,10 @@ from zetaglue.oracles import heat_route_crosscheck
 from zetaglue.spectral_core import FiberSpectrum
 
 
+def _totals(asm):
+    return asm.log_det_M, asm.log_det_M1, asm.log_det_M2, asm.log_det_R
+
+
 class TestGeometry:
     def test_derived_lengths(self):
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(1.0,))
@@ -128,6 +132,20 @@ class TestCircleFiberRegularization:
         assert abs(reg["sum_mu"] - (-1.0 / 6.0)) < 1e-15
         assert reg["mode_count"] == -1.0
         assert abs(reg["sum_log_mu"] - math.log(2 * math.pi)) < 1e-14
+
+    def test_nonconvergence_fails_its_stretch_alone(self):
+        # the shortest stretch needs about 1500 modes, the others 100 or less
+        fiber = FiberSpectrum.circle(1000.0)
+        g = GlueGeometry(1.0, 2.0, 0.5, holonomy=(math.pi / 2,))
+        Rs = (0.5, 16.0, 64.0)
+        grid = logdet_grid(g, fiber, Rs, max_modes=200)
+        assert isinstance(grid[0], RuntimeError)
+        assert "did not converge within 200 modes" in str(grid[0])
+        for R, asm, full in zip(Rs[1:], grid[1:], logdet_grid(g, fiber, Rs)[1:]):
+            ref = logdet_closed(g.with_R(R), fiber, max_modes=200)
+            for got in (ref, full):
+                assert _totals(asm) == _totals(got)
+                assert asm.rows == got.rows and asm.regularization == got.regularization
 
     def test_nonconvergence_reported(self, circle_fiber):
         g = GlueGeometry(1.0, 2.0, 0.5, holonomy=(math.pi / 2,))

@@ -5,6 +5,7 @@ closed form of the composite scattering matrix."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from zetaglue.adiabatic import (  # noqa: E402
     _log_det_half_complement,
     half_fiber_heat_trace,
     relative_heat_trace,
+    sweep,
+    verify_bfk_corollary,
 )
-from zetaglue.glue import GlueGeometry, logdet_grid  # noqa: E402
+from zetaglue.glue import GlueGeometry, logdet_closed, logdet_grid  # noqa: E402
 from zetaglue.scattering import scattering_matrix  # noqa: E402
 from zetaglue.spectral_core import (  # noqa: E402
     FiberSpectrum,
@@ -95,6 +98,85 @@ def test_holonomy_reflection_invariance(inst):
                     logdet_grid(reflected, fiber, GRID)):
         tol = _tol(a)
         assert all(abs(x - y) <= tol for x, y in zip(_logs(a), _logs(b)))
+
+
+# stretches past 6.7e153, where L1 L2 overflows, and past 4.5e307, where
+# C = a1 + a2 + 4R does
+HUGE = st.sampled_from([6.7e153, 1e154, 4.5e307, 1e308]) | st.floats(
+    6.7e153, 1.7e308)
+
+
+@st.composite
+def sweeps(draw):
+    """A finite fiber with 1-1000 nonzero modes of multiplicity 1-3 and 1-3
+    zero modes; a grid of 3-2000 stretches (at most 4000 / modes of them),
+    on [0.5, 100] but for up to three past 6.7e153."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 1000))
+    zeros = draw(st.integers(1, 3))
+    mus = sorted({0.1 * 100.0 ** rng.random() for _ in range(n)})
+    fiber = FiberSpectrum.finite([(0.0, zeros)]
+                                 + [(mu, rng.randint(1, 3)) for mu in mus])
+    geom = GlueGeometry(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)),
+                        1.0, holonomy=tuple(draw(PHASE) for _ in range(zeros)))
+    huge = draw(st.lists(HUGE, max_size=3))
+    size = draw(st.integers(3, max(3, min(2000, 4000 // n))))
+    grid = [0.5 * 200.0 ** rng.random() for _ in range(size - len(huge))]
+    return fiber, geom, grid + huge
+
+
+def _closed_row(geom, fiber, R):
+    """(row values, "") of the sweep row at R, taken from logdet_closed by a
+    row's steps, or (None, error).  Past 4.5e307 the geometry itself
+    overflows, and the one-stretch grid that logdet_closed reads is used."""
+    try:
+        asm = logdet_closed(geom.with_R(R), fiber)
+    except ValueError as exc:
+        asm = logdet_grid(geom, fiber, (R,))[0] if "circumference" in str(
+            exc) else exc
+    if isinstance(asm, Exception):
+        return None, str(asm)
+    try:
+        scale = R ** (2 * fiber.h0)
+        return (R, *_logs(asm), scale * math.exp(asm.log_ratio),
+                scale * math.exp(asm.log_det_R),
+                math.exp(asm.log_bfk_ratio)), ""
+    except OverflowError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweeps())
+def test_sweep_rows_are_logdet_closed(inst):
+    fiber, geom, grid = inst
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's overflow warnings are off
+        result = sweep(geom, fiber, grid)
+        check = verify_bfk_corollary(result)
+        assert [r.R for r in result.rows] == sorted(grid)
+        for row in result.rows:
+            values, error = _closed_row(geom, fiber, row.R)
+            assert row.failed == (values is None) and row.error == error
+            if values is not None:   # bit for bit
+                assert [x.hex() for x in values] == [
+                    x.hex() for x in (row.R, row.log_det_M, row.log_det_M1,
+                                      row.log_det_M2, row.log_det_R,
+                                      row.scaled_ratio, row.scaled_det_R,
+                                      row.bfk_ratio)]
+    for row, dev in zip(result.rows, check.rel_devs, strict=True):
+        gap = (row.log_det_M - row.log_det_M1 - row.log_det_M2
+               - row.log_det_R) - check.log_predicted
+        try:
+            assert dev.hex() == abs(math.expm1(gap)).hex()
+        except OverflowError:   # past 1e153 the logs cancel to noise
+            assert dev == math.inf
+    good = [(row, dev) for row, dev in zip(result.rows, check.rel_devs)
+            if not row.failed]
+    assert check.max_rel_dev == max((dev for _, dev in good), default=0.0)
+    assert check.per_row == tuple(row.bfk_ratio for row, _ in good)
+    assert result.Rs == tuple(row.R for row, _ in good)
+    assert check.failed_rows == tuple((row.R, row.error)
+                                      for row in result.rows if row.failed)
 
 
 @st.composite
