@@ -3,13 +3,14 @@
 Library layout:
 
     spectral_core -- eigenvalue sequences, zeta data, heat traces
-    base1d        -- closed forms for the 1-D circle/interval problems
+    base1d        -- array closed forms of the 1-D circle/interval problems
     glue          -- assembled geometry, determinants, boundary operator
     scattering    -- scattering matrices, model operators, small eigenvalues
     adiabatic     -- stretch sweeps, limit extraction, verification suites
     cli           -- configuration-driven experiment runner
-    oracles       -- independent numerical oracles that only tests call;
-                     not imported here, since it loads scipy
+    oracles       -- independent numerical oracles, the 1-D mode problems
+                     and scalar closed-form references that only tests
+                     call; not imported here, since it loads scipy
 """
 
 from .spectral_core import (
@@ -25,23 +26,12 @@ from .spectral_core import (
     fiber_zeta_data,
     heat_trace_circle,
     heat_trace_dirichlet,
-    heat_trace_mode,
     zeta_from_sequence,
-)
-from .base1d import (
-    Circle,
-    DirichletInterval,
-    DNBlock,
-    ModeProblem,
-    dn_block,
-    logdet_circle_mode,
-    logdet_dirichlet_mode,
 )
 from .glue import (
     AssembledDeterminants,
     ConditionAViolation,
     GlueGeometry,
-    bfk_ratio,
     condition_A_check,
     logdet_closed,
     trace_perp_inverse_diff,
@@ -50,10 +40,8 @@ from .scattering import (
     SValueReport,
     det_L_identity,
     dn_zero_mode_asymptotics,
-    model_identities,
     model_identities_over,
     model_logdet,
-    model_spectrum,
     scattering_matrix,
     svalue_match,
     svalue_report,
@@ -65,7 +53,6 @@ from .adiabatic import (
     predicted_bfk_constant,
     predicted_dn_limit,
     predicted_main_limit,
-    relative_heat_trace,
     sweep,
     verify_bfk_corollary,
     verify_lemma_cancellation,

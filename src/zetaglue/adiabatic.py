@@ -48,7 +48,6 @@ __all__ = [
     "verify_theorem_main",
     "verify_theorem_dn",
     "verify_bfk_corollary",
-    "relative_heat_trace",
     "half_fiber_heat_trace",
     "verify_lemma_cancellation",
     "verify_smalltime_largetime_split",
@@ -296,8 +295,7 @@ def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck
     log det M2 - log det R, so the check never divides by a constant that
     underflowed.
     """
-    exponent = _bfk_exponent(result.fiber)
-    log_predicted = exponent * math.log(2.0)
+    log_predicted = _bfk_exponent(result.fiber) * math.log(2.0)
     rel_devs, ratios, failed, worst = [], [], [], 0.0
     for r in result.rows:
         dev = abs(_exp((r.log_det_M - r.log_det_M1 - r.log_det_M2
@@ -310,8 +308,9 @@ def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck
             if dev > worst:
                 worst = dev
     passed = bool(ratios) and not failed and worst <= rel_tol
-    return BfkCheck(2.0 ** exponent, log_predicted, worst, passed,
-                    tuple(ratios), tuple(rel_devs), tuple(failed))
+    return BfkCheck(predicted_bfk_constant(result.fiber), log_predicted,
+                    worst, passed, tuple(ratios), tuple(rel_devs),
+                    tuple(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +420,16 @@ class _TwistGroups:
 
     def log_abs_deviation(self, geom: GlueGeometry,
                           t: float) -> tuple[float, float]:
-        """(log|deviation|, sign) of relative minus half cross-section
-        trace, in image-term form; see _log_abs_deviation."""
+        """(log|deviation|, sign): image-term form of relative trace minus
+        the half cross-section trace, safe far below float underflow.
+
+        Per twist group the log-weight base = log(2 W_theta(t) / sqrt(4 pi
+        t)) is a log-sum-exp over the group's modes, taken in table order up
+        to the first mode whose own base falls below -1500; the image orders
+        m then run once per group, up to 64, until every image exponent
+        exceeds 1540 - base.  All entries go into one signed fsum; an exact
+        zero reads as 1e-18 of the largest entry.
+        """
         self._check(t)
         L1, L2, C = geom.L1, geom.L2, geom.C
         pref = _image_pref(t)
@@ -462,33 +469,11 @@ class _TwistGroups:
         return top + math.log(abs(acc)), math.copysign(1.0, acc)
 
 
-def relative_heat_trace(geom: GlueGeometry, fiber: FiberSpectrum,
-                        t: float) -> float:
-    """Tr of the glued heat operator minus both cut pieces, by mode sums
-    factored by twist (see _TwistGroups.relative_trace)."""
-    return _TwistGroups(geom, fiber, t).relative_trace(geom, t)
-
-
 def half_fiber_heat_trace(fiber: FiberSpectrum, t: float) -> float:
     """Half the doubled cross-section trace, i.e. one copy's full trace."""
     if fiber.kind == "finite":
         return math.fsum(k * math.exp(-t * m * m) for m, k in fiber.modes)
     return heat_trace_circle(fiber.circumference, 0.0, 0.0, t)
-
-
-def _log_abs_deviation(geom: GlueGeometry, fiber: FiberSpectrum,
-                       t: float) -> tuple[float, float]:
-    """(log|deviation|, sign): image-term form of relative trace minus the
-    half cross-section trace, safe far below float underflow.
-
-    Per twist group the log-weight base = log(2 W_theta(t) / sqrt(4 pi t))
-    is a log-sum-exp over the group's modes, taken in table order up to the
-    first mode whose own base falls below -1500; the image orders m then
-    run once per group, up to 64, until every image exponent exceeds
-    1540 - base.  All entries go into one signed fsum; an exact zero reads
-    as 1e-18 of the largest entry.
-    """
-    return _TwistGroups(geom, fiber, t).log_abs_deviation(geom, t)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ stderr) or a numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -606,7 +607,9 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for later calls."""
     parser = argparse.ArgumentParser(
         prog="zetaglue",
         description="Determinant-gluing experiment runner (batch only).",
@@ -620,7 +623,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--tol", type=float, default=None,
                        help="override the experiment's primary tolerance")
     sub.add_parser("list", help="list available experiments")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "list":
         print(list_experiments())

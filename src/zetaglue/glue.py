@@ -24,7 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .base1d import _OVERFLOW_ARG
+from .base1d import (_block_remainder, _csch_coth, _growth_remainders,
+                     _nonzero_logs)
 from .spectral_core import (
     FiberSpectrum,
     fiber_sqrt_zeta_at_minus_one,
@@ -41,7 +42,6 @@ __all__ = [
     "DeterminantGrid",
     "logdet_grid",
     "logdet_closed",
-    "bfk_ratio",
     "trace_perp_inverse_diff",
 ]
 
@@ -212,45 +212,6 @@ def _scan_circle(geom, fiber, evaluate, n: int, limit: int | None = None):
         n *= 2
 
 
-def _csch_coth(x):
-    """csch x and coth x - 1 in decaying exponentials, finite at any x > 0."""
-    e, d = np.exp(-x), -np.expm1(-2.0 * x)
-    return 2.0 * e / d, 2.0 * e * e / d
-
-
-def _growth_remainders(x_c, x_1, x_2, cos_t):
-    """log(2 cosh x_c - 2 cos theta) - x_c and log(2 sinh x_i) - x_i."""
-    e_c = np.exp(-x_c)
-    return (np.log1p(-2.0 * cos_t * e_c + e_c * e_c),
-            np.log1p(-np.exp(-2.0 * x_1)), np.log1p(-np.exp(-2.0 * x_2)))
-
-
-def _block_remainder(x1, x2, cos_t):
-    """log(det B / 4 mu^2), B the sum of the two interval DN blocks.  Per
-    unit mu, diagonal minus off-diagonal is t = tanh(x/2), diagonal plus
-    off-diagonal 1/t and off-diagonal s = csch x, so det B / mu^2 =
-    (t1 + t2)(1/t1 + 1/t2) + 2 s1 s2 (1 - cos theta), and the first term is
-    4 + (t1 - t2)^2 / (t1 t2): no cancellation against the leading 4."""
-    t1, t2 = np.tanh(0.5 * x1), np.tanh(0.5 * x2)
-    (s1, _), (s2, _) = _csch_coth(x1), _csch_coth(x2)
-    return np.log1p(0.25 * ((t1 - t2) ** 2 / (t1 * t2)
-                            + 2.0 * s1 * s2 * (1.0 - cos_t)))
-
-
-def _nonzero_logs(mu, cos_t, L1, L2, C):
-    """base1d's closed forms over broadcast arrays, with its switch to the
-    remainder form past x = 30; each branch sees only its side's inputs."""
-    xs = (mu * C, mu * L1, mu * L2)
-    rems = _growth_remainders(*(np.maximum(x, _OVERFLOW_ARG) for x in xs), cos_t)
-    lo_c, lo_1, lo_2 = (np.minimum(x, _OVERFLOW_ARG) for x in xs)
-    direct = (np.log(2.0 * np.cosh(lo_c) - 2.0 * cos_t),
-              np.log(2.0 * np.sinh(lo_1) / mu), np.log(2.0 * np.sinh(lo_2) / mu))
-    growth = (xs[0], xs[1] - np.log(mu), xs[2] - np.log(mu))
-    return tuple(np.where(x > _OVERFLOW_ARG, g + r, d)
-                 for x, g, r, d in zip(xs, growth, rems, direct)) + (
-        np.log(4.0 * mu * mu) + _block_remainder(xs[1], xs[2], cos_t),)
-
-
 @dataclass(frozen=True, eq=False)
 class DeterminantGrid(Sequence):
     """logdet_grid's columns: per stretch, the total log det M, M1, M2, R
@@ -318,7 +279,7 @@ def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
         mu, mult, theta = mode_table(geom, fiber)
         table = tuple(map(np.concatenate, zip(zeros, (mu, mult, theta))))
         logs = tuple(map(np.vstack, zip(zero_logs, _nonzero_logs(
-            mu[:, None], np.cos(theta)[:, None], L1, L2, C))))
+            mu[:, None], theta[:, None], L1, L2, C))))
         # per stretch, the math.fsum of each mult-weighted column
         totals = [_fsums((table[1][:, None] * col).T.tolist()) for col in logs]
         counts = (len(table[0]),) * len(Rs)
@@ -338,9 +299,9 @@ def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
                 continue
 
             def remainders(mu, mult, theta):
-                cos_t = np.cos(theta)
-                rems = (*_growth_remainders(mu * c, mu * l1, mu * l2, cos_t),
-                        _block_remainder(mu * l1, mu * l2, cos_t))
+                rems = (*_growth_remainders(mu * c, mu * l1, mu * l2,
+                                            np.cos(theta)),
+                        _block_remainder(mu * l1, mu * l2, theta))
                 largest = np.max(np.abs(rems[:3]), axis=0)
                 return rems + (largest,), largest < tail_eps * scale
 
@@ -387,12 +348,6 @@ def logdet_closed(geom: GlueGeometry, fiber: FiberSpectrum,
     if isinstance(entry, Exception):
         raise entry
     return entry
-
-
-def bfk_ratio(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
-    """det_M / (det_M1 det_M2 det_R): the gluing constant, independent of
-    R, the interior lengths and the holonomy."""
-    return math.exp(logdet_closed(geom, fiber).log_bfk_ratio)
 
 
 @np.errstate(over="ignore")   # mu L past the float range: a term of 0

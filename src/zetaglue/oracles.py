@@ -1,10 +1,13 @@
-"""Independent numerical oracles for the closed forms; only tests call them.
+"""Independent numerical oracles and scalar references; only tests call them.
 
 Each oracle recomputes a quantity the library evaluates in closed form by
 a route that takes no shortcut through that closed form: zeta data from
 the heat trace (the kappa-integral with the pole subtracted by hand), a
 log-determinant by explicit eigenvalue enumeration plus analytic tail,
-and an inverse trace as the time integral of the heat trace.
+and an inverse trace as the time integral of the heat trace.  The 1-D
+mode problems they run on (ModeProblem over a Circle or a
+DirichletInterval) are defined here, with scalar one-mode copies of
+base1d's closed forms and DN block for tests to compare against.
 
 This is the only module that imports scipy, which the package does not
 depend on (it comes with the test extra).  The package does not import
@@ -20,19 +23,30 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .base1d import Circle, DirichletInterval, ModeProblem
+from .base1d import _OVERFLOW_ARG, _SMALL_ARG
 from .glue import ConditionAViolation, GlueGeometry, mode_table
 from .spectral_core import (
     EULER_GAMMA,
+    ArithmeticFamily,
+    EigenvalueSeq,
     FiberSpectrum,
     HeatCoefficientMismatch,
     ZetaData,
-    heat_trace_mode,
-    tail_residual_bound,
+    _family_zeta,
+    heat_trace_circle,
+    heat_trace_dirichlet,
     zeta_from_sequence,
 )
 
 __all__ = [
+    "Circle",
+    "DirichletInterval",
+    "ModeProblem",
+    "heat_trace_mode",
+    "tail_residual_bound",
+    "logdet_circle_mode",
+    "logdet_dirichlet_mode",
+    "dn_block",
     "zeta_via_heat",
     "heat_coeffs_for_mode",
     "oracle_logdet_truncated",
@@ -40,6 +54,140 @@ __all__ = [
     "CrosscheckReport",
     "heat_route_crosscheck",
 ]
+
+
+# ---------------------------------------------------------------------------
+# 1-D mode problems and scalar references for base1d
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Circle:
+    """Circle base of circumference C with holonomy phase theta in [0, 2pi)."""
+
+    C: float
+    theta: float
+
+    def __post_init__(self):
+        if self.C <= 0:
+            raise ValueError("C must be positive")
+        if not (0.0 <= self.theta < 2.0 * math.pi):
+            raise ValueError("theta must lie in [0, 2pi)")
+
+
+@dataclass(frozen=True)
+class DirichletInterval:
+    """Interval base [0, L] with Dirichlet ends."""
+
+    L: float
+
+    def __post_init__(self):
+        if self.L <= 0:
+            raise ValueError("L must be positive")
+
+
+@dataclass(frozen=True)
+class ModeProblem:
+    """One transverse mode riding on a 1-D base problem."""
+
+    mu: float
+    base: Circle | DirichletInterval
+
+    def __post_init__(self):
+        if self.mu < 0:
+            raise ValueError("mu must be nonnegative")
+
+    def eigenvalue_seq(self) -> EigenvalueSeq:
+        if isinstance(self.base, Circle):
+            c = 2.0 * math.pi / self.base.C
+            th = self.base.theta
+            if th == 0.0:
+                if self.mu == 0.0:
+                    # the flat n = 0 entry is the kernel
+                    fams = (ArithmeticFamily(c, 0.0, 1, mult=2),)
+                    return EigenvalueSeq(fams, mu=0.0, kernel_dim=1)
+                # n = 0 sits at mu^2, the rest is doubly degenerate
+                fams = (ArithmeticFamily(c, 0.0, 0),
+                        ArithmeticFamily(c, 0.0, 1))
+                return EigenvalueSeq(fams, mu=self.mu)
+            d = th / self.base.C
+            fams = (ArithmeticFamily(c, d, 0), ArithmeticFamily(c, -d, 1))
+            return EigenvalueSeq(fams, mu=self.mu)
+        L = self.base.L
+        return EigenvalueSeq((ArithmeticFamily(math.pi / L, 0.0, 1),), mu=self.mu)
+
+
+def heat_trace_mode(problem: ModeProblem, t: float) -> float:
+    """Heat trace of a 1-D mode problem (direct sum for large t, image sum
+    for small t; the branches agree at the crossover to 1e-12 relative)."""
+    base = problem.base
+    if isinstance(base, Circle):
+        return heat_trace_circle(base.C, base.theta, problem.mu, t)
+    return heat_trace_dirichlet(base.L, problem.mu, t)
+
+
+def logdet_circle_mode(C: float, theta: float, mu: float) -> float:
+    """log det of -d^2 + mu^2 on the circle: log(2 cosh(mu C) - 2 cos theta).
+
+    Overflow-safe for large mu C, and below mu C = 1 taken as
+    log(4 sinh^2(mu C / 2) + 4 sin^2(theta / 2)), which does not cancel.
+    Rejects the flat zero mode (mu = 0, theta = 0), whose determinant
+    would vanish.
+    """
+    if C <= 0:
+        raise ValueError("C must be positive")
+    if mu == 0.0 and theta == 0.0:
+        raise ValueError("zero mode on circle")
+    x = mu * C
+    if x > _OVERFLOW_ARG:
+        return x + math.log1p(-2.0 * math.cos(theta) * math.exp(-x)
+                              + math.exp(-2.0 * x))
+    if x < _SMALL_ARG:
+        logs = [2.0 * math.log(2.0 * abs(v))
+                for v in (math.sinh(0.5 * x), math.sin(0.5 * theta)) if v]
+        top = max(logs)
+        return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    return math.log(2.0 * math.cosh(x) - 2.0 * math.cos(theta))
+
+
+def logdet_dirichlet_mode(L: float, mu: float) -> float:
+    """log det of -d^2 + mu^2 on [0, L], Dirichlet: log(2 sinh(mu L)/mu)."""
+    if L <= 0:
+        raise ValueError("L must be positive")
+    if mu == 0.0:
+        return math.log(2.0 * L)
+    x = mu * L
+    if x > _OVERFLOW_ARG:
+        return x + math.log1p(-math.exp(-2.0 * x)) - math.log(mu)
+    return math.log(2.0 * math.sinh(x) / mu)
+
+
+def dn_block(L: float, mu: float, w: complex = 1.0) -> np.ndarray:
+    """Dirichlet-to-Neumann map of -d^2 + mu^2 on [0, L], a 2x2 Hermitian
+    array whose rows and columns index the two cut components.
+
+    Outward-normal convention at both ends: diagonal mu coth(mu L) (1/L at
+    mu = 0), off-diagonal -mu csch(mu L) times the boundary phase.  The
+    unit phase w sits on the second cut component; a glued loop picks up
+    w2 * conj(w1).  Positive semidefinite, strictly definite for mu > 0.
+    """
+    if L <= 0:
+        raise ValueError("L must be positive")
+    w = complex(w)
+    if abs(abs(w) - 1.0) > 1e-12:
+        raise ValueError("boundary phase must be unimodular")
+    if mu == 0.0:
+        diag, off = 1.0 / L, 1.0 / L
+    else:
+        x = mu * L
+        if x > _OVERFLOW_ARG:
+            e = math.exp(-2.0 * x)
+            diag = mu * (1.0 + e) / (1.0 - e)
+            off = mu * 2.0 * math.exp(-x) / (1.0 - e)
+        else:
+            diag = mu / math.tanh(x)
+            off = mu / math.sinh(x)
+    return np.array([[diag, -off * w.conjugate()], [-off * w, diag]],
+                    dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +293,25 @@ def oracle_logdet_truncated(problem: ModeProblem, cutoff: int = 10_000,
     return data.log_det, resid
 
 
+def tail_residual_bound(seq: EigenvalueSeq, cutoff: int = 10_000,
+                        tail_order: int = 4) -> float:
+    """Residual bound of zeta_from_sequence at this cutoff/order.
+
+    Analytic tail of the truncated binomial expansion plus a rounding-noise
+    allowance for the partial sums, 1e-15 (sum |log lambda_n| +
+    |log Gamma(a)| + 1) per family and unit multiplicity, a = cutoff + d/c.
+    Only this bound computes the allowance, and as a bound it takes a plain
+    numpy sum.
+    """
+    total = 0.0
+    for fam in seq.families:
+        _, _, tail, logs = _family_zeta(fam, seq.mu, cutoff, tail_order)
+        a = fam.start + logs.size + fam.offset / fam.slope
+        noise = 1e-15 * (float(np.abs(logs).sum()) + abs(math.lgamma(a)) + 1.0)
+        total += tail + fam.mult * noise
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Inverse trace of one assembled mode, by eigenvalues and by heat trace
 # ---------------------------------------------------------------------------
@@ -230,7 +397,9 @@ def _inverse_trace_eigen(problem: ModeProblem, cutoff: int = 20_000) -> float:
 
 def _inverse_trace_heat(problem: ModeProblem) -> float:
     """Integral over time of the heat trace (resolvent at zero)."""
-    lam_min = problem.eigenvalue_seq().nth(0)
+    seq = problem.eigenvalue_seq()
+    # roots ascend within a family: the lowest eigenvalue starts one
+    lam_min = min(fam.root(fam.start) ** 2 for fam in seq.families) + seq.mu ** 2
     t_hi = 60.0 / lam_min
     i1, _ = quad(lambda t: heat_trace_mode(problem, t), 0.0, 1.0,
                  epsabs=1e-12, epsrel=1e-11, limit=200)

@@ -36,14 +36,12 @@ from .spectral_core import (
 __all__ = [
     "SValueReport",
     "scattering_matrix",
-    "model_spectrum",
     "model_positive_roots",
     "model_logdet",
     "model_logdet_star",
     "model_zeta_single_phase",
     "model_zeta_quarter_c12",
     "model_zeta_cbar_star",
-    "model_identities",
     "model_identities_over",
     "svalues_exact",
     "svalue_match",
@@ -51,9 +49,6 @@ __all__ = [
     "svalue_rate_ratios",
     "dn_zero_mode_asymptotics",
     "det_L_identity",
-    "fixed_space_dims",
-    "trace_comparison_residual",
-    "trace_comparison_report",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -101,18 +96,6 @@ def _canonical_phase(alpha: float) -> float:
     if a < 0:
         a += TWO_PI
     return a
-
-
-def model_spectrum(alphas, count: int) -> np.ndarray:
-    """First `count` eigenvalues (pi k + alpha_j/2)^2, k ranging over all
-    integers, sorted with multiplicity."""
-    vals = []
-    kmax = count + 2
-    for alpha in alphas:
-        for k in range(-kmax, kmax + 1):
-            vals.append((math.pi * k + 0.5 * alpha) ** 2)
-    vals.sort()
-    return np.array(vals[:count])
 
 
 def model_positive_roots(alphas, root_max: float) -> list[float]:
@@ -221,22 +204,15 @@ class ModelIdentitiesReport:
         return abs(self.log_det_cbar_star - self.log_rhs_cbar)
 
 
-def model_identities(geom: GlueGeometry, fiber: FiberSpectrum) -> ModelIdentitiesReport:
-    """Verify the two model determinant identities, exactly and numerically.
+def model_identities_over(geoms: Sequence[GlueGeometry], fiber: FiberSpectrum
+                          ) -> tuple[ModelIdentitiesReport, ...]:
+    """Verify the two model determinant identities at each geometry in
+    geoms, exactly and numerically.
 
     det of the quarter-scaled composite model equals 2^{2 h} det((Id-U)/2)^2
     where U is the composite matrix at 0, here the product of the two piece
     matrices, so the closed form of the model side is checked against it;
     the kernel-excluded det of each reflected piece model equals 2^{2 h}.
-    """
-    (report,) = model_identities_over((geom,), fiber)
-    return report
-
-
-def model_identities_over(geoms: Sequence[GlueGeometry], fiber: FiberSpectrum
-                          ) -> tuple[ModelIdentitiesReport, ...]:
-    """model_identities for each geometry in geoms.
-
     The reflected piece models depend on the number of zero modes only, so
     their side of the identities, truncated-zeta oracle included, is
     evaluated once for all geometries.
@@ -454,8 +430,6 @@ def dn_zero_mode_asymptotics(geom: GlueGeometry,
     -a on the -1 vector.  Both sign choices are reported and exactly one
     matches.
     """
-    from .base1d import dn_block
-
     condition_A_check(geom, fiber).raise_if_failed()
     R = geom.R
     entries = []
@@ -465,7 +439,10 @@ def dn_zero_mode_asymptotics(geom: GlueGeometry,
         L = geom.L1 if piece == 1 else geom.L2
         for j in range(len(geom.holonomy)):
             b0 = c0[2 * j: 2 * j + 2, 2 * j: 2 * j + 2]
-            n_block = dn_block(L, 0.0, b0[1, 0]).matrix
+            # the mu = 0 DN block of the piece, boundary phase w = b0[1, 0]
+            w, d = complex(b0[1, 0]), 1.0 / L
+            n_block = np.array([[d, -d * w.conjugate()], [-d * w, d]],
+                               dtype=complex)
             w0, v0 = np.linalg.eigh(b0)
             idx_minus = int(np.argmin(w0))
             idx_plus = int(np.argmax(w0))
@@ -489,18 +466,6 @@ def dn_zero_mode_asymptotics(geom: GlueGeometry,
                 matched_sign=sign,
             ))
     return DNAsymptoticsReport(tuple(entries))
-
-
-def fixed_space_dims(geom: GlueGeometry) -> tuple[int, int]:
-    """(h_1, h_2): fixed-space dimensions of the reflected piece matrices.
-
-    Computed from the spectra of the piece matrices at 0; their sum equals
-    the zero-mode dimension 2 h0.
-    """
-    h1, h2 = (int(np.sum(np.linalg.eigvalsh(-_piece_matrix(piece, 0.0, geom))
-                         > 0.5)) for piece in (1, 2))
-    assert h1 + h2 == 2 * len(geom.holonomy)
-    return h1, h2
 
 
 @dataclass(frozen=True)
@@ -529,104 +494,3 @@ def det_L_identity(geom: GlueGeometry) -> DetLReport:
     rhs = geom.R ** (-h_Y) * float(np.linalg.det((eye - c1 @ c2) / 2.0).real)
     return DetLReport(det_L=det_l, rhs=rhs, gap=abs(det_l - rhs))
 
-
-# ---------------------------------------------------------------------------
-# Rescaled small-time trace comparison
-# ---------------------------------------------------------------------------
-
-def trace_comparison_residual(which: str, geom: GlueGeometry,
-                              fiber: FiberSpectrum, t: float,
-                              kappa: float = 0.75) -> float:
-    """|small-window trace of the rescaled operator - half the model's|.
-
-    The window is the matched small-eigenvalue set (rescaled eigenvalues
-    below sqrt(R)); the half accounts for the doubled zero-mode space of
-    the model towers.
-    """
-    rep = svalue_report(which, geom, fiber, kappa)
-    exact_sum = math.fsum(math.exp(-t * s) for _, s, _, _ in rep.pairs)
-    model_sum = math.fsum(math.exp(-t * m) for _, _, m, _ in rep.pairs)
-    return abs(exact_sum - model_sum)
-
-
-@dataclass(frozen=True)
-class TraceComparisonReport:
-    """Empirical support for res <= c1 R^{-1/4} t e^{-c2 t}, per operator.
-
-    Constants are fitted at the largest stretch (where the bound is
-    tightest); the claim of a uniform constant is supported two ways: the
-    fitted bound holds within a factor of two one doubling below, and the
-    scaled residual max_t res R^{1/4} e^{c2 t}/t never increases with R,
-    so its supremum sits at the smallest grid stretch.
-    """
-
-    constants: dict  # which -> (c1_hat, c2_hat)
-    adjacent_violation_factor: float
-    scaled_residuals: dict  # which -> tuple of (R, max_t scaled residual)
-    grid: tuple[tuple[str, float, float, float], ...]  # which, R, t, residual
-
-    @property
-    def ok(self) -> bool:
-        if self.adjacent_violation_factor > 2.0:
-            return False
-        if any(c2 <= 0.0 for _, c2 in self.constants.values()):
-            return False
-        for series in self.scaled_residuals.values():
-            qs = [q for _, q in series]
-            if any(b > 1.05 * a for a, b in zip(qs, qs[1:])):
-                return False
-        return True
-
-
-def trace_comparison_report(geom_template: GlueGeometry, fiber: FiberSpectrum,
-                            Rs, ts, kappa: float = 0.75) -> TraceComparisonReport:
-    """Small-window trace comparison on a (t, R) grid with fitted constants.
-
-    The constants differ per operator because the slowest surviving model
-    eigenvalue does; they are never pooled.
-    """
-    Rs = sorted(Rs)
-    rows = []
-    for R in Rs:
-        geom = geom_template.with_R(R)
-        for which in ("M", "M1", "M2"):
-            for t in ts:
-                rows.append((which, R, t,
-                             trace_comparison_residual(which, geom, fiber, t, kappa)))
-    r_max = Rs[-1]
-    constants = {}
-    for which in ("M", "M1", "M2"):
-        pts = sorted((t, res) for w, R, t, res in rows
-                     if w == which and R == r_max and res > 0.0)
-        if len(pts) < 2:
-            constants[which] = (0.0, math.inf)
-            continue
-        # decay rate from the asymptotic pair, envelope constant over all t
-        (t1, r1), (t2, r2) = pts[-2], pts[-1]
-        c2 = max((math.log(r1 / t1) - math.log(r2 / t2)) / (t2 - t1), 1e-12)
-        c1 = max(res * r_max ** 0.25 * math.exp(min(c2 * t, 700.0)) / t
-                 for t, res in pts)
-        constants[which] = (c1, c2)
-    adjacent = 0.0
-    if len(Rs) >= 2:
-        for which, R, t, res in rows:
-            if R != Rs[-2]:
-                continue
-            c1, c2 = constants[which]
-            bound = c1 * R ** -0.25 * t * math.exp(-c2 * t)
-            if res > 0.0 and bound > 0.0:
-                adjacent = max(adjacent, res / bound)
-    scaled = {}
-    for which in ("M", "M1", "M2"):
-        _, c2 = constants[which]
-        series = []
-        for R in Rs:
-            qs = [res * R ** 0.25 * math.exp(min(c2 * t, 700.0)) / t
-                  for w, rr, t, res in rows
-                  if w == which and rr == R and res > 0.0]
-            series.append((R, max(qs, default=0.0)))
-        scaled[which] = tuple(series)
-    return TraceComparisonReport(constants=constants,
-                                 adjacent_violation_factor=adjacent,
-                                 scaled_residuals=scaled,
-                                 grid=tuple(rows))

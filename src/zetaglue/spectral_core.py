@@ -30,8 +30,6 @@ __all__ = [
     "TailNotConverged",
     "HeatCoefficientMismatch",
     "zeta_from_sequence",
-    "tail_residual_bound",
-    "heat_trace_mode",
     "heat_trace_dirichlet",
     "heat_trace_circle",
     "fiber_zeta_data",
@@ -102,18 +100,6 @@ class ZetaData:
         return cls(zeta_at_zero, zeta_prime_at_zero, -zeta_prime_at_zero,
                    kernel_dim)
 
-    @property
-    def det(self) -> float:
-        return math.exp(self.log_det)
-
-    def __add__(self, other: "ZetaData") -> "ZetaData":
-        """Zeta data of the disjoint union of two spectral sequences."""
-        return ZetaData.from_zeta(
-            self.zeta_at_zero + other.zeta_at_zero,
-            self.zeta_prime_at_zero + other.zeta_prime_at_zero,
-            self.kernel_dim + other.kernel_dim,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Eigenvalue sequences:  lambda_n = (c n + d)^2 + mu^2,  n >= n0
@@ -163,48 +149,6 @@ class EigenvalueSeq:
                     "family produces a zero eigenvalue; "
                     "put kernel elements in kernel_dim instead"
                 )
-
-    def eigenvalue(self, family: int, n: int) -> float:
-        fam = self.families[family]
-        if n < fam.start:
-            raise IndexError("index below family start")
-        return fam.root(n) ** 2 + self.mu ** 2
-
-    def enumerate_below(self, lam_max: float) -> list[float]:
-        """All eigenvalues <= lam_max (multiplicity expanded, sorted)."""
-        out: list[float] = []
-        if self.mu ** 2 > lam_max:
-            return out
-        r = math.sqrt(lam_max - self.mu ** 2)
-        for fam in self.families:
-            n = fam.start
-            while fam.root(n) <= r:
-                out.extend([fam.root(n) ** 2 + self.mu ** 2] * fam.mult)
-                n += 1
-        out.sort()
-        return out
-
-    def count_below(self, lam_max: float) -> int:
-        return len(self.enumerate_below(lam_max))
-
-    def counting_function(self, lam_max: float) -> float:
-        """Smooth count implied by the growth model (no floor fuzz)."""
-        if self.mu ** 2 > lam_max:
-            return 0.0
-        r = math.sqrt(lam_max - self.mu ** 2)
-        total = 0.0
-        for fam in self.families:
-            total += fam.mult * max(0.0, (r - fam.offset) / fam.slope - fam.start + 1)
-        return total
-
-    def nth(self, k: int) -> float:
-        """k-th smallest eigenvalue (0-based, kernel excluded)."""
-        guess = 4.0 * (self.mu ** 2 + 1.0)
-        while True:
-            vals = self.enumerate_below(guess)
-            if len(vals) > k:
-                return vals[k]
-            guess *= 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +233,6 @@ def _family_zeta(fam: ArithmeticFamily, mu: float, cutoff: int, tail_order: int)
             logs)
 
 
-def tail_residual_bound(seq: EigenvalueSeq, cutoff: int = 10_000,
-                        tail_order: int = 4) -> float:
-    """Residual bound of zeta_from_sequence at this cutoff/order.
-
-    Analytic tail of the truncated binomial expansion plus a rounding-noise
-    allowance for the partial sums, 1e-15 (sum |log lambda_n| +
-    |log Gamma(a)| + 1) per family and unit multiplicity, a = cutoff + d/c.
-    Only this bound computes the allowance, and as a bound it takes a plain
-    numpy sum.
-    """
-    total = 0.0
-    for fam in seq.families:
-        _, _, tail, logs = _family_zeta(fam, seq.mu, cutoff, tail_order)
-        a = fam.start + logs.size + fam.offset / fam.slope
-        noise = 1e-15 * (float(np.abs(logs).sum()) + abs(math.lgamma(a)) + 1.0)
-        total += tail + fam.mult * noise
-    return total
-
-
 def zeta_from_sequence(seq: EigenvalueSeq, cutoff: int = 10_000,
                        tail_order: int = 4, tail_tol: float = 1e-10) -> ZetaData:
     """zeta(0) and zeta'(0) of an eigenvalue sequence.
@@ -317,8 +242,8 @@ def zeta_from_sequence(seq: EigenvalueSeq, cutoff: int = 10_000,
     once and scaled by how often it occurs (zeta is additive); its partial
     sum of log lambda_n is an error-free pairwise sum in numpy, which
     rounds only at second order (see _exact_sum).  The rounding-noise
-    allowance is left to tail_residual_bound.  Deterministic for fixed
-    inputs.  Raises TailNotConverged when the analytic tail (the part the
+    allowance is left to zetaglue.oracles.tail_residual_bound.
+    Deterministic for fixed inputs.  Raises TailNotConverged when the analytic tail (the part the
     cutoff controls) exceeds tail_tol.
     """
     if cutoff < 100:
@@ -452,19 +377,6 @@ def _check_t(t: float, length: float) -> None:
         raise ValueError("t must be positive")
     if t < 1e-300 or length * length / t > 1e300:
         raise ValueError("t underflows the image-sum switch")
-
-
-def heat_trace_mode(problem, t: float) -> float:
-    """Heat trace of a 1-D mode problem (direct sum for large t, image sum
-    for small t; the branches agree at the crossover to 1e-12 relative)."""
-    from .base1d import Circle, DirichletInterval  # local import, no cycle
-
-    base = problem.base
-    if isinstance(base, Circle):
-        return heat_trace_circle(base.C, base.theta, problem.mu, t)
-    if isinstance(base, DirichletInterval):
-        return heat_trace_dirichlet(base.L, problem.mu, t)
-    raise TypeError(f"unknown base problem {base!r}")
 
 
 # ---------------------------------------------------------------------------

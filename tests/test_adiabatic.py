@@ -12,18 +12,16 @@ from zetaglue.adiabatic import (
     predicted_bfk_constant,
     predicted_dn_limit,
     predicted_main_limit,
-    relative_heat_trace,
     sweep,
     verify_bfk_corollary,
     verify_lemma_cancellation,
     verify_smalltime_largetime_split,
     verify_theorem_dn,
     verify_theorem_main,
+    _TwistGroups,
     _exp1,
     _integrate,
-    _log_abs_deviation,
 )
-from zetaglue.base1d import dn_block, logdet_circle_mode, logdet_dirichlet_mode
 from zetaglue.glue import (
     ConditionAViolation,
     GlueGeometry,
@@ -31,12 +29,24 @@ from zetaglue.glue import (
     logdet_grid,
     mode_table,
 )
+from zetaglue.oracles import dn_block, logdet_circle_mode, logdet_dirichlet_mode
 from zetaglue.spectral_core import (
     FiberSpectrum,
     fiber_sqrt_zeta_at_minus_one,
     heat_trace_circle,
     heat_trace_dirichlet,
 )
+
+
+def relative_heat_trace(geom, fiber, t):
+    """Tr of the glued heat operator minus both cut pieces at one t."""
+    return _TwistGroups(geom, fiber, t).relative_trace(geom, t)
+
+
+def log_abs_deviation(geom, fiber, t):
+    """(log|deviation|, sign) of the relative minus the half cross-section
+    trace, in image-term form."""
+    return _TwistGroups(geom, fiber, t).log_abs_deviation(geom, t)
 
 
 class TestSweep:
@@ -65,7 +75,7 @@ class TestSweep:
             assert abs(r.scaled_ratio - plain) < 1e-15
 
 
-# Vectorized rows against the scalar closed forms of base1d, mode by mode.
+# Vectorized rows against the scalar closed-form references, mode by mode.
 # Frequencies put mu C and mu L_i on both sides of the x = 30 switch across
 # the grid; three zero modes, multiplicities up to 3, two nonzero phases.
 WIDE_FIBER = FiberSpectrum.finite([(0.0, 3), (0.3, 1), (1.0, 2), (1.5, 3),
@@ -76,9 +86,10 @@ WIDE_GRID = (2.0, 3.0, 4.0, 8.0, 16.0)
 
 
 def _reference_logs(g, mu, theta):
-    """Scalar per-mode log-determinants (M, M1, M2, R) from base1d."""
+    """Scalar per-mode log-determinants (M, M1, M2, R) from the oracles'
+    one-mode references."""
     w = complex(math.cos(theta), math.sin(theta))
-    block = dn_block(g.L1, mu).matrix + dn_block(g.L2, mu, w).matrix
+    block = dn_block(g.L1, mu) + dn_block(g.L2, mu, w)
     return (logdet_circle_mode(g.C, theta, mu),
             logdet_dirichlet_mode(g.L1, mu), logdet_dirichlet_mode(g.L2, mu),
             math.log(float(np.linalg.det(block).real)))
@@ -301,15 +312,15 @@ class TestHeatCancellation:
 
     def test_deviation_superpolynomial_at_small_t(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(math.pi / 2,))
-        lg1, _ = _log_abs_deviation(g, std_fiber, 0.1)
-        lg2, _ = _log_abs_deviation(g, std_fiber, 0.05)
+        lg1, _ = log_abs_deviation(g, std_fiber, 0.1)
+        lg2, _ = log_abs_deviation(g, std_fiber, 0.05)
         # log|dev| ~ -c/t: halving t nearly doubles the exponent
         assert lg2 < 1.8 * lg1
 
     def test_image_form_matches_direct_subtraction(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(math.pi / 2,))
         for t in (6.0, 10.0):
-            lg, sign = _log_abs_deviation(g, std_fiber, t)
+            lg, sign = log_abs_deviation(g, std_fiber, t)
             direct = (relative_heat_trace(g, std_fiber, t)
                       - half_fiber_heat_trace(std_fiber, t))
             assert abs(sign * math.exp(lg) - direct) < 1e-8 * abs(direct)
@@ -404,14 +415,14 @@ class TestTwistFactorization:
     @pytest.mark.parametrize("fiber, geom, t", CASES, ids=IDS)
     def test_log_deviation_matches_per_mode(self, fiber, geom, t):
         lg_ref, sign_ref = _log_abs_deviation_per_mode(geom, fiber, t)
-        lg, sign = _log_abs_deviation(geom, fiber, t)
+        lg, sign = log_abs_deviation(geom, fiber, t)
         assert sign == sign_ref
         assert abs(lg - lg_ref) <= 1e-12 * max(1.0, abs(lg_ref))
 
     def test_deep_underflow_row(self):
         geom = TWIST_GEOM.with_R(8.0)
         lg_ref, sign_ref = _log_abs_deviation_per_mode(geom, TWIST_FIBER, 0.1)
-        lg, sign = _log_abs_deviation(geom, TWIST_FIBER, 0.1)
+        lg, sign = log_abs_deviation(geom, TWIST_FIBER, 0.1)
         assert lg_ref < -745.0
         assert sign == sign_ref
         assert abs(lg - lg_ref) <= 1e-12 * abs(lg_ref)
@@ -464,12 +475,12 @@ class TestSplit:
 
 class TestGeneralizedInstances:
     def test_two_zero_modes_with_distinct_phases(self):
-        from zetaglue.glue import bfk_ratio
         from zetaglue.scattering import det_L_identity
 
         fib = FiberSpectrum.finite([(0.0, 2), (1.0, 1)])
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(math.pi / 3, 2.2))
-        assert abs(bfk_ratio(g, fib) - 2.0 ** -6) < 1e-12
+        assert abs(math.exp(logdet_closed(g, fib).log_bfk_ratio)
+                   - 2.0 ** -6) < 1e-12
         expect = (2.0 ** -4 * math.sin(math.pi / 6) ** 2
                   * math.sin(1.1) ** 2)
         assert abs(predicted_main_limit(g, fib) - expect) < 1e-14
@@ -480,13 +491,12 @@ class TestGeneralizedInstances:
         assert dl.gap <= 1e-12 * max(1.0, abs(dl.rhs))
 
     def test_diagonal_holonomy_threads_through(self):
-        from zetaglue.glue import bfk_ratio
-
         fib = FiberSpectrum.finite([(0.0, 1), (1.0, 1)])
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(math.pi / 2,),
                          nonzero_phases={0: 1.0})
         # the gluing constant is gauge-independent
-        assert abs(bfk_ratio(g, fib) - 0.0625) < 1e-12
+        assert abs(math.exp(logdet_closed(g, fib).log_bfk_ratio)
+                   - 0.0625) < 1e-12
         assert verify_theorem_main(sweep(g, fib)).passed
 
 

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from zetaglue.base1d import dn_block, logdet_circle_mode, logdet_dirichlet_mode
 from zetaglue.glue import (
     ConditionAViolation,
     GlueGeometry,
-    bfk_ratio,
     condition_A_check,
     logdet_closed,
     logdet_grid,
     trace_perp_inverse_diff,
 )
-from zetaglue.oracles import heat_route_crosscheck
+from zetaglue.oracles import (
+    dn_block,
+    heat_route_crosscheck,
+    logdet_circle_mode,
+    logdet_dirichlet_mode,
+)
 from zetaglue.spectral_core import FiberSpectrum
 
 
@@ -157,7 +160,7 @@ def block_sum(geom, mu, theta=0.0):
     """One mode's 2x2 block of the boundary operator: the sum of the two
     interval DN blocks, the twist on the second piece."""
     w = complex(math.cos(theta), math.sin(theta))
-    return dn_block(geom.L1, mu).matrix + dn_block(geom.L2, mu, w).matrix
+    return dn_block(geom.L1, mu) + dn_block(geom.L2, mu, w)
 
 
 class TestBoundaryOperatorBlocks:
@@ -188,6 +191,12 @@ class TestBoundaryOperatorBlocks:
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(0.0,))
         with pytest.raises(ConditionAViolation):
             logdet_closed(g, std_fiber)
+
+
+def bfk_ratio(geom, fiber):
+    """det_M / (det_M1 det_M2 det_R): the gluing constant, independent of
+    R, the interior lengths and the holonomy."""
+    return math.exp(logdet_closed(geom, fiber).log_bfk_ratio)
 
 
 class TestBfkRatio:

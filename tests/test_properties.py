@@ -1,7 +1,9 @@
 """Property suite over random fibers: the log-domain gluing identity per
-stretch, the symmetries and additivity of the assembled log-determinants,
-the heat-trace deviation and symmetries of the relative trace, and the
-closed form of the composite scattering matrix."""
+stretch, also where mu C is far below 1, the symmetries and additivity of
+the assembled log-determinants, the modular symmetry of the torus
+determinants a circle fiber glues into, the heat-trace deviation and
+symmetries of the relative trace, and the closed form of the composite
+scattering matrix."""
 
 import math
 import random
@@ -15,10 +17,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from zetaglue.adiabatic import (  # noqa: E402
     _TwistGroups,
-    _log_abs_deviation,
     _log_det_half_complement,
     half_fiber_heat_trace,
-    relative_heat_trace,
     sweep,
     verify_bfk_corollary,
 )
@@ -98,6 +98,46 @@ def test_holonomy_reflection_invariance(inst):
                     logdet_grid(reflected, fiber, GRID)):
         tol = _tol(a)
         assert all(abs(x - y) <= tol for x, y in zip(_logs(a), _logs(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-100.0, -4.0),
+       st.sampled_from([0.0, 1e-9, 2.0])
+       | st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_bfk_identity_at_small_mu_C(log_mu, theta):
+    # one nonzero mode with mu C from about 1e-99 to 0.03 on the default
+    # grid: 2 cosh(mu C) - 2 cos(theta) would cancel to nothing here
+    fiber = FiberSpectrum.finite([(0.0, 1), (10.0 ** log_mu, 1)])
+    geom = GlueGeometry(1.0, 2.0, 4.0, holonomy=(1.5,),
+                        nonzero_phases={0: theta})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = verify_bfk_corollary(sweep(geom, fiber))
+    assert check.failed_rows == ()
+    assert check.max_rel_dev <= 1e-12
+
+
+def _torus_logdet(fiber_length, glued_length, theta=1.3):
+    """log det M of a circle fiber glued along a circle, less the zero
+    mode's log(2 - 2 cos theta), plus 2 log of the glued circumference."""
+    geom = GlueGeometry(glued_length / 4.0, glued_length / 4.0,
+                        glued_length / 8.0, holonomy=(theta,))
+    log_m = logdet_closed(geom, FiberSpectrum.circle(fiber_length)).log_det_M
+    return (log_m - math.log(2.0 - 2.0 * math.cos(theta))
+            + 2.0 * math.log(glued_length))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(math.log(0.3), math.log(164.0)),
+       st.floats(math.log(0.3), math.log(164.0)))
+def test_torus_determinant_modular_symmetry(log_l, log_c):
+    # the glued manifold of a circle fiber is a flat torus: swapping the
+    # fiber and the glued circumference leaves its determinant unchanged,
+    # which pins the continued values the circle regularization assigns
+    fiber_length, glued_length = math.exp(log_l), math.exp(log_c)
+    direct = _torus_logdet(fiber_length, glued_length)
+    swapped = _torus_logdet(glued_length, fiber_length)
+    assert abs(direct - swapped) <= 1e-13 * max(1.0, abs(direct))
 
 
 # stretches past 6.7e153, where L1 L2 overflows, and past 4.5e307, where
@@ -279,10 +319,11 @@ def heat_instances(draw):
 @given(heat_instances())
 def test_image_form_matches_direct_deviation(inst):
     fiber, geom, t = inst
-    trace = relative_heat_trace(geom, fiber, t)
+    groups = _TwistGroups(geom, fiber, t)
+    trace = groups.relative_trace(geom, t)
     half = half_fiber_heat_trace(fiber, t)
     direct = trace - half
-    lg, sign = _log_abs_deviation(geom, fiber, t)
+    lg, sign = groups.log_abs_deviation(geom, t)
     # the direct subtraction is only good to a few ulps of the traces it
     # subtracts: W (K_C + K_L1 + K_L2), with W at most the half trace and
     # each twisted circle trace at most the untwisted one
@@ -297,7 +338,7 @@ def test_image_form_matches_direct_deviation(inst):
 @given(heat_instances())
 def test_relative_trace_symmetries(inst):
     fiber, geom, t = inst
-    trace = relative_heat_trace(geom, fiber, t)
+    trace = _TwistGroups(geom, fiber, t).relative_trace(geom, t)
     swapped = GlueGeometry(geom.a2, geom.a1, geom.R, geom.holonomy,
                            geom.nonzero_phases)
     reflected = GlueGeometry(
@@ -305,8 +346,8 @@ def test_relative_trace_symmetries(inst):
         tuple(2.0 * math.pi - th for th in geom.holonomy),
         {k: 2.0 * math.pi - th for k, th in geom.nonzero_phases.items()})
     for other in (swapped, reflected):
-        assert abs(relative_heat_trace(other, fiber, t) - trace) \
-            <= 1e-12 * abs(trace)
+        other_trace = _TwistGroups(other, fiber, t).relative_trace(other, t)
+        assert abs(other_trace - trace) <= 1e-12 * abs(trace)
 
 
 # twists within 1e-3 of 0 and of 2 pi, where one line of the circle sum

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,19 +9,15 @@ from zetaglue.glue import ConditionAViolation, GlueGeometry
 from zetaglue.scattering import (
     det_L_identity,
     dn_zero_mode_asymptotics,
-    fixed_space_dims,
-    model_identities,
     model_identities_over,
     model_logdet,
     model_logdet_star,
     model_positive_roots,
-    model_spectrum,
     model_zeta_single_phase,
     scattering_matrix,
     svalue_rate_ratios,
     svalue_report,
     svalues_exact,
-    trace_comparison_report,
 )
 from zetaglue.spectral_core import FiberSpectrum
 
@@ -94,16 +91,22 @@ class TestComposite:
 
 
 class TestModelOperators:
+    # the model spectrum is (pi k + alpha/2)^2 over all integers k; its
+    # positive square roots below a bound, with multiplicity
     def test_spectrum_half_turn(self):
-        vals = model_spectrum([math.pi], 3)
+        vals = np.square(model_positive_roots([math.pi], 3 * math.pi / 2))
         expect = [math.pi ** 2 / 4, math.pi ** 2 / 4, 9 * math.pi ** 2 / 4]
-        assert np.allclose(vals, expect)
+        assert np.allclose(vals[:3], expect)
 
     def test_spectrum_contains_kernel_for_trivial_phase(self):
-        assert model_spectrum([0.0], 1)[0] == 0.0
+        # k = 0 is the kernel, kept out of the positive roots and counted
+        # by the starred determinant
+        assert np.allclose(model_positive_roots([0.0], math.pi),
+                           [math.pi, math.pi])
+        assert model_logdet_star([0.0])[1] == 1
 
     def test_spectrum_quarter_turn(self):
-        vals = model_spectrum([math.pi / 2], 2)
+        vals = np.square(model_positive_roots([math.pi / 2], math.pi))
         assert np.allclose(vals, [math.pi ** 2 / 16, 9 * math.pi ** 2 / 16])
 
     def test_logdet_formula(self):
@@ -125,7 +128,7 @@ class TestModelOperators:
         assert abs(numeric.log_det - closed) < 1e-8
 
     def test_identities_quarter_and_reflected(self, std_fiber, std_geom):
-        rep = model_identities(std_geom(10.0), std_fiber)
+        (rep,) = model_identities_over((std_geom(10.0),), std_fiber)
         assert rep.h_Y == 2
         # quarter-composite: 2^4 sin^4(pi/4) = 4
         assert abs(math.exp(rep.log_det_quarter_c12) - 4.0) < 1e-12
@@ -142,7 +145,7 @@ class TestModelOperators:
         geoms = [GlueGeometry(1.0, 2.0, 10.0, holonomy=(t, t))
                  for t in (math.pi / 3, math.pi / 2, math.pi)]
         assert model_identities_over(geoms, fib) == tuple(
-            model_identities(g, fib) for g in geoms)
+            model_identities_over((g,), fib)[0] for g in geoms)
         assert model_identities_over([], fib) == ()
 
 
@@ -300,12 +303,116 @@ class TestDetL:
             det_L_identity(g)
 
 
-def test_fixed_space_dims_sum(std_geom):
-    h1, h2 = fixed_space_dims(std_geom(10.0))
-    assert (h1, h2) == (1, 1)
-    g = GlueGeometry(1.0, 2.0, 10.0, holonomy=(0.3, 2.0))
-    h1, h2 = fixed_space_dims(g)
-    assert h1 + h2 == 4
+def test_fixed_space_dims_sum():
+    # fixed space of each reflected piece matrix -C_i(0): its eigenvalue +1;
+    # the two dimensions sum to the zero-mode dimension 2 h0
+    for holonomy in ((math.pi / 2,), (0.3, 2.0)):
+        fib = FiberSpectrum.finite([(0.0, len(holonomy)), (1.0, 1)])
+        g = GlueGeometry(1.0, 2.0, 10.0, holonomy=holonomy)
+        h1, h2 = (int(np.sum(np.linalg.eigvalsh(
+            -scattering_matrix(piece, 0.0, g, fib)) > 0.5)) for piece in (1, 2))
+        assert h1 == h2 == fib.h0
+        assert h1 + h2 == 2 * fib.h0
+
+
+# ---------------------------------------------------------------------------
+# Rescaled small-time trace comparison: the traces of the matched small
+# eigenvalues against the model's, a lemma no experiment reports
+# ---------------------------------------------------------------------------
+
+def trace_comparison_residual(which, geom, fiber, t, kappa=0.75):
+    """|small-window trace of the rescaled operator - half the model's|.
+
+    The window is the matched small-eigenvalue set (rescaled eigenvalues
+    below sqrt(R)); the half accounts for the doubled zero-mode space of
+    the model towers.
+    """
+    rep = svalue_report(which, geom, fiber, kappa)
+    exact_sum = math.fsum(math.exp(-t * s) for _, s, _, _ in rep.pairs)
+    model_sum = math.fsum(math.exp(-t * m) for _, _, m, _ in rep.pairs)
+    return abs(exact_sum - model_sum)
+
+
+@dataclass(frozen=True)
+class TraceComparisonReport:
+    """Empirical support for res <= c1 R^{-1/4} t e^{-c2 t}, per operator.
+
+    Constants are fitted at the largest stretch (where the bound is
+    tightest); the claim of a uniform constant is supported two ways: the
+    fitted bound holds within a factor of two one doubling below, and the
+    scaled residual max_t res R^{1/4} e^{c2 t}/t never increases with R,
+    so its supremum sits at the smallest grid stretch.
+    """
+
+    constants: dict  # which -> (c1_hat, c2_hat)
+    adjacent_violation_factor: float
+    scaled_residuals: dict  # which -> tuple of (R, max_t scaled residual)
+    grid: tuple[tuple[str, float, float, float], ...]  # which, R, t, residual
+
+    @property
+    def ok(self) -> bool:
+        if self.adjacent_violation_factor > 2.0:
+            return False
+        if any(c2 <= 0.0 for _, c2 in self.constants.values()):
+            return False
+        for series in self.scaled_residuals.values():
+            qs = [q for _, q in series]
+            if any(b > 1.05 * a for a, b in zip(qs, qs[1:])):
+                return False
+        return True
+
+
+def trace_comparison_report(geom_template, fiber, Rs, ts, kappa=0.75):
+    """Small-window trace comparison on a (t, R) grid with fitted constants.
+
+    The constants differ per operator because the slowest surviving model
+    eigenvalue does; they are never pooled.
+    """
+    Rs = sorted(Rs)
+    rows = []
+    for R in Rs:
+        geom = geom_template.with_R(R)
+        for which in ("M", "M1", "M2"):
+            for t in ts:
+                rows.append((which, R, t,
+                             trace_comparison_residual(which, geom, fiber, t, kappa)))
+    r_max = Rs[-1]
+    constants = {}
+    for which in ("M", "M1", "M2"):
+        pts = sorted((t, res) for w, R, t, res in rows
+                     if w == which and R == r_max and res > 0.0)
+        if len(pts) < 2:
+            constants[which] = (0.0, math.inf)
+            continue
+        # decay rate from the asymptotic pair, envelope constant over all t
+        (t1, r1), (t2, r2) = pts[-2], pts[-1]
+        c2 = max((math.log(r1 / t1) - math.log(r2 / t2)) / (t2 - t1), 1e-12)
+        c1 = max(res * r_max ** 0.25 * math.exp(min(c2 * t, 700.0)) / t
+                 for t, res in pts)
+        constants[which] = (c1, c2)
+    adjacent = 0.0
+    if len(Rs) >= 2:
+        for which, R, t, res in rows:
+            if R != Rs[-2]:
+                continue
+            c1, c2 = constants[which]
+            bound = c1 * R ** -0.25 * t * math.exp(-c2 * t)
+            if res > 0.0 and bound > 0.0:
+                adjacent = max(adjacent, res / bound)
+    scaled = {}
+    for which in ("M", "M1", "M2"):
+        _, c2 = constants[which]
+        series = []
+        for R in Rs:
+            qs = [res * R ** 0.25 * math.exp(min(c2 * t, 700.0)) / t
+                  for w, rr, t, res in rows
+                  if w == which and rr == R and res > 0.0]
+            series.append((R, max(qs, default=0.0)))
+        scaled[which] = tuple(series)
+    return TraceComparisonReport(constants=constants,
+                                 adjacent_violation_factor=adjacent,
+                                 scaled_residuals=scaled,
+                                 grid=tuple(rows))
 
 
 def test_trace_comparison_bound(std_fiber):
