@@ -2,30 +2,28 @@
 
 Library layout:
 
-    spectral_core -- eigenvalue sequences, zeta data, heat traces
+    spectral_core -- eigenvalue sequences, zeta data, mu = 0 array heat traces
     base1d        -- array closed forms of the 1-D circle/interval problems
     glue          -- assembled geometry, determinants, boundary operator
     scattering    -- scattering matrices, model operators, small eigenvalues
     adiabatic     -- stretch sweeps, limit extraction, verification suites
     cli           -- configuration-driven experiment runner
-    oracles       -- independent numerical oracles, the 1-D mode problems
-                     and scalar closed-form references that only tests
-                     call; not imported here, since it loads scipy
+    oracles       -- independent numerical oracles, the 1-D mode problems,
+                     and the scalar closed forms and heat traces that
+                     only tests call; not imported here, since it loads
+                     scipy
 """
 
 from .spectral_core import (
     ArithmeticFamily,
     EigenvalueSeq,
     FiberSpectrum,
-    HeatCoefficientMismatch,
     TailNotConverged,
     ZetaData,
     fiber_scaled_sqrt_logdet,
     fiber_sqrt_zeta_at_minus_one,
     fiber_sqrt_zeta_data,
     fiber_zeta_data,
-    heat_trace_circle,
-    heat_trace_dirichlet,
     zeta_from_sequence,
 )
 from .glue import (

@@ -26,14 +26,13 @@ from .scattering import model_logdet, model_logdet_star
 from .spectral_core import (
     EULER_GAMMA,
     FiberSpectrum,
+    _EXP_FLOOR,
     _exp_neg,
     _heat_trace_circle_mu0,
     _heat_trace_dirichlet_mu0,
     fiber_scaled_sqrt_logdet,
     fiber_sqrt_zeta_data,
     fiber_zeta_data,
-    heat_trace_circle,
-    heat_trace_dirichlet,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "verify_theorem_main",
     "verify_theorem_dn",
     "verify_bfk_corollary",
-    "half_fiber_heat_trace",
     "verify_lemma_cancellation",
     "verify_smalltime_largetime_split",
 ]
@@ -324,9 +322,6 @@ def _modes_through(fiber: FiberSpectrum, mu_max: float) -> int | None:
             else int(mu_max * fiber.circumference / (2.0 * math.pi)) + 2)
 
 
-# exp(-x) underflows past this: modes with t mu^2 beyond it drop out of the
-# relative trace
-_EXP_CUT = 745.0
 # log-weights below this are dropped from the image-term deviation
 _LOG_CUT = -1500.0
 
@@ -343,20 +338,21 @@ class _TwistGroups:
     e^{-t mu^2} K(theta, 0, t), in the direct and in the image branch, so a
     mode sum is one mu = 0 trace per distinct twist times the Gaussian
     weight W_theta(t) = sum mult e^{-t mu^2} over that twist's modes.  The
-    twists are the zero-mode holonomies, the nonzero_phases and 0.  The
-    table is built once for the smallest t a caller asks for: a circle
-    fiber's table runs through the last mode either cut keeps there, and
-    both cuts keep fewer modes at larger t.  Only the stretch-free parts of
-    the geometry are read, so one table serves every stretch.
+    twists are the zero-mode holonomies and 0, which every nonzero mode
+    carries.  The table is built once for the smallest t a caller asks for:
+    a circle fiber's table runs through the last mode either cut keeps
+    there, and both cuts keep fewer modes at larger t.  Only the
+    stretch-free parts of the geometry are read, so one table serves every
+    stretch.
     """
 
     def __init__(self, geom: GlueGeometry, fiber: FiberSpectrum, t_min: float):
         if t_min <= 0:
             raise ValueError("t must be positive")
         # circle modes (mult 2) past this frequency fall below both cuts
-        mu_max = math.sqrt(max(_EXP_CUT, -_LOG_CUT + math.log(2.0)
+        mu_max = math.sqrt(max(_EXP_FLOOR, -_LOG_CUT + math.log(2.0)
                                + _image_pref(t_min)) / t_min)
-        mu, mult, theta = mode_table(geom, fiber, _modes_through(fiber, mu_max))
+        mu, mult = mode_table(fiber, _modes_through(fiber, mu_max))
         h0 = len(geom.holonomy)
         # table order: zero modes first, then spectral order; mu^2 ascends
         self.t_min, self.fiber = t_min, fiber
@@ -365,7 +361,8 @@ class _TwistGroups:
         mult = self.mult = np.concatenate([np.ones(h0), mult])
         self.log_mult = np.log(mult)
         self.max_log_mult = float(self.log_mult.max(initial=0.0))
-        theta = np.concatenate([np.array(geom.holonomy, dtype=float), theta])
+        theta = np.concatenate([np.array(geom.holonomy, dtype=float),
+                                np.zeros(len(mu))])
         self.groups = []   # (theta, table indices, mu^2, mult, log mult)
         for th in np.unique(theta):
             idx = np.flatnonzero(theta == th)
@@ -377,30 +374,17 @@ class _TwistGroups:
             raise ValueError(f"t = {t!r} is below the table's t_min = "
                              f"{self.t_min!r}")
 
-    def relative_trace(self, geom: GlueGeometry, t):
-        """sum over twists of W_theta(t) (K_C(theta) - K_L1 - K_L2), each
-        weight cut at t mu^2 <= 745.  A float t runs on the scalar kernels;
-        an array of t on the mu = 0 array kernels, with each group's mode
-        columns cut once at the array's smallest t."""
-        if np.ndim(t):
-            return self._relative_traces(geom, np.asarray(t, dtype=float))
-        self._check(t)
-        k_1, k_2 = (heat_trace_dirichlet(L, 0.0, t) for L in (geom.L1, geom.L2))
-        terms = []
-        for theta, _, mu2, mult, _ in self.groups:
-            n = int(np.searchsorted(mu2, _EXP_CUT / t, side="right"))
-            if n:
-                weight = float(mult[:n] @ np.exp(-t * mu2[:n]))
-                terms.append(weight * (heat_trace_circle(geom.C, theta, 0.0, t)
-                                       - k_1 - k_2))
-        return math.fsum(terms)
-
-    def _relative_traces(self, geom: GlueGeometry, t: np.ndarray) -> np.ndarray:
-        self._check(float(t.min()))
+    def relative_trace(self, geom: GlueGeometry, t: np.ndarray) -> np.ndarray:
+        """sum over twists of W_theta(t) (K_C(theta) - K_L1 - K_L2) at every
+        t of an array, on the mu = 0 array kernels; each group's modes are
+        cut once, at t mu^2 <= 745 for the array's smallest t."""
+        t = np.asarray(t, dtype=float)
+        t_lo = float(t.min())
+        self._check(t_lo)
         k_1, k_2 = (_heat_trace_dirichlet_mu0(L, t) for L in (geom.L1, geom.L2))
         total = np.zeros_like(t)
         for theta, _, mu2, mult, _ in self.groups:
-            n = int(np.searchsorted(mu2, _EXP_CUT / t.min(), side="right"))
+            n = int(np.searchsorted(mu2, _EXP_FLOOR / t_lo, side="right"))
             if n:
                 weight = _exp_neg(t[:, None] * mu2[:n]) @ mult[:n]
                 total += weight * (_heat_trace_circle_mu0(geom.C, theta, t)
@@ -408,14 +392,14 @@ class _TwistGroups:
         return total
 
     def half_fiber_trace(self, t: np.ndarray) -> np.ndarray:
-        """half_fiber_heat_trace(fiber, t) at every t of an array; a finite
-        fiber's is the table's sum mult e^{-t mu^2} over every group, zero
-        modes included."""
+        """Half the doubled cross-section trace at every t of an array; a
+        finite fiber's is the table's sum mult e^{-t mu^2}, zero modes
+        included."""
         t = np.asarray(t, dtype=float)
         if self.fiber.kind != "finite":
             return _heat_trace_circle_mu0(self.fiber.circumference, 0.0, t)
-        # (t mu) mu rounds as half_fiber_heat_trace does; t mu^2 can differ
-        # by |t mu^2| ulps
+        # (t mu) mu rounds as oracles.half_fiber_heat_trace does; t mu^2 can
+        # differ by |t mu^2| ulps
         return _exp_neg((t[:, None] * self.mu) * self.mu) @ self.mult
 
     def log_abs_deviation(self, geom: GlueGeometry,
@@ -469,13 +453,6 @@ class _TwistGroups:
         return top + math.log(abs(acc)), math.copysign(1.0, acc)
 
 
-def half_fiber_heat_trace(fiber: FiberSpectrum, t: float) -> float:
-    """Half the doubled cross-section trace, i.e. one copy's full trace."""
-    if fiber.kind == "finite":
-        return math.fsum(k * math.exp(-t * m * m) for m, k in fiber.modes)
-    return heat_trace_circle(fiber.circumference, 0.0, 0.0, t)
-
-
 @dataclass(frozen=True)
 class LemmaCancellationReport:
     c1_hat: float
@@ -518,14 +495,19 @@ def verify_lemma_cancellation(geom_template: GlueGeometry,
         log_bound = math.log(c1_hat) - c2_hat * R * R / t
         worst = max(worst, math.exp(min(lg - log_bound, 700.0)))
 
-    # float-level cross-check where the subtraction is meaningful
+    # float-level cross-check where the subtraction is meaningful, each
+    # stretch's t values in one array call
     gap = 0.0
-    for R, t, lg in rows:
-        if lg > math.log(1e-11):
+    for R in Rs:
+        near = [(t, lg) for r, t, lg in rows
+                if r == R and lg > math.log(1e-11)]
+        if near:
+            ts, lgs = map(np.array, zip(*near))
             geom = geom_template.with_R(R)
-            direct = abs(groups.relative_trace(geom, t)
-                         - half_fiber_heat_trace(fiber, t))
-            gap = max(gap, abs(direct - math.exp(lg)) / max(direct, 1e-300))
+            direct = np.abs(groups.relative_trace(geom, ts)
+                            - groups.half_fiber_trace(ts))
+            gap = max(gap, float(np.max(np.abs(direct - np.exp(lgs))
+                                        / np.maximum(direct, 1e-300))))
     return LemmaCancellationReport(
         c1_hat=c1_hat, c2_hat=c2_hat, rows=tuple(rows),
         max_violation_factor=worst, float_crosscheck_gap=gap,
@@ -643,7 +625,7 @@ def _exp1(x: np.ndarray) -> np.ndarray:
         for term in reversed(terms):
             series += term
         out[low] = -EULER_GAMMA - np.log(xs) + series
-    high = ~low & (x <= _EXP_CUT)
+    high = ~low & (x <= _EXP_FLOOR)
     xs = x[high]
     if xs.size:
         tail = np.zeros_like(xs)
@@ -719,8 +701,7 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
     # truncation of the cross-section integral past T
     # a circle fiber's terms run through the first below 1e-18, which
     # comes before mu^2 T = 50
-    mu, mult, _ = mode_table(geom, fiber,
-                             _modes_through(fiber, math.sqrt(50.0 / T)))
+    mu, mult = mode_table(fiber, _modes_through(fiber, math.sqrt(50.0 / T)))
     tail_y = mult * _exp1(mu * mu * T)
     if fiber.kind == "circle":
         tail_y = tail_y[:int(np.argmax(tail_y < 1e-18)) + 1]

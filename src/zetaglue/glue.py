@@ -20,7 +20,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -54,18 +53,16 @@ class ConditionAViolation(ValueError):
 @dataclass(frozen=True)
 class GlueGeometry:
     """Interior lengths a1, a2, stretch R, and one holonomy phase per
-    transverse zero mode.
+    transverse zero mode; the nonzero modes carry no twist.
 
     Derived: interval lengths L_i = a_i + 2R and circumference
-    C = a1 + a2 + 4R = L1 + L2.  Optional extra phases for nonzero modes
-    (keyed by mode index) are threaded through identically.
+    C = a1 + a2 + 4R = L1 + L2.
     """
 
     a1: float
     a2: float
     R: float
     holonomy: tuple[float, ...] = ()
-    nonzero_phases: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         # chained, so that NaN fails like 0 and inf (NaN <= 0 is False)
@@ -94,8 +91,7 @@ class GlueGeometry:
         return self.a1 + self.a2 + 4.0 * self.R
 
     def with_R(self, R: float) -> "GlueGeometry":
-        return GlueGeometry(self.a1, self.a2, R, self.holonomy,
-                            dict(self.nonzero_phases))
+        return GlueGeometry(self.a1, self.a2, R, self.holonomy)
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,6 @@ class ConditionAReport:
 
     ok: bool
     violations: tuple[str, ...]
-    common_fixed_space_trivial: bool
 
     def raise_if_failed(self):
         if not self.ok:
@@ -114,18 +109,16 @@ class ConditionAReport:
 def condition_A_check(geom: GlueGeometry, fiber: FiberSpectrum) -> ConditionAReport:
     """Check that every zero-mode holonomy phase is nonzero.
 
-    Equivalent statements are reported together: no flat circle mode
-    appears in the assembly, and the two cut-operator fixed spaces
-    intersect trivially (which rules out exponentially small eigenvalues
-    of the boundary-response operator as well).
+    Equivalently, no flat circle mode appears in the assembly and the two
+    cut-operator fixed spaces intersect trivially, which rules out
+    exponentially small eigenvalues of the boundary-response operator.
     """
     if len(geom.holonomy) != fiber.h0:
         raise ValueError(f"holonomy must carry one phase per zero mode "
                          f"({fiber.h0} needed, {len(geom.holonomy)} given)")
     bad = tuple(f"zero mode {j}: holonomy phase 0 gives a flat circle mode"
                 for j, t in enumerate(geom.holonomy) if t == 0.0)
-    return ConditionAReport(ok=not bad, violations=bad,
-                            common_fixed_space_trivial=not bad)
+    return ConditionAReport(ok=not bad, violations=bad)
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,6 @@ class ModeRow:
 
     label: str
     mu: float
-    theta: float
     mult: int
     log_det_M: float
     log_det_M1: float
@@ -155,18 +147,18 @@ class AssembledDeterminants:
     log_det_R: float
     h_Y: int
     regularization: dict | None = None
-    # per-mode arrays (mu, mult, theta, then the four logs), zero modes first
+    # per-mode arrays (mu, mult, then the four logs), zero modes first
     mode_logs: tuple[np.ndarray, ...] = field(default=(), repr=False,
                                               compare=False)
 
     @cached_property
     def rows(self) -> tuple[ModeRow, ...]:
         """Per-mode breakdown, built on first access."""
-        mu, mult, theta, *logs = self.mode_logs
+        mu, mult, *logs = self.mode_logs
         zeros = self.h_Y // 2
         labels = ["zero"] * zeros + ["nonzero"] * (len(mu) - zeros)
-        return tuple(map(ModeRow, labels, mu.tolist(), theta.tolist(),
-                         mult.tolist(), *(col.tolist() for col in logs)))
+        return tuple(map(ModeRow, labels, mu.tolist(), mult.tolist(),
+                         *(col.tolist() for col in logs)))
 
     @property
     def log_ratio(self) -> float:
@@ -178,10 +170,9 @@ class AssembledDeterminants:
         return self.log_ratio - self.log_det_R
 
 
-def mode_table(geom: GlueGeometry, fiber: FiberSpectrum, n: int | None = None):
-    """(mu, mult, theta) arrays over the fiber's nonzero modes in spectral
-    order: a finite fiber's modes, or its first n; a circle fiber's first n.
-    theta comes from geom.nonzero_phases, 0 where none is set."""
+def mode_table(fiber: FiberSpectrum, n: int | None = None):
+    """(mu, mult) arrays over the fiber's nonzero modes in spectral order: a
+    finite fiber's modes, or its first n; a circle fiber's first n."""
     if fiber.kind == "finite":
         modes = [(m, k) for m, k in fiber.modes if m > 0.0][:n]
         mu = np.array([m for m, _ in modes], dtype=float)
@@ -189,20 +180,16 @@ def mode_table(geom: GlueGeometry, fiber: FiberSpectrum, n: int | None = None):
     else:
         mu = 2.0 * math.pi * np.arange(1, n + 1) / fiber.circumference
         mult = np.full(n, 2)
-    theta = np.zeros(len(mu))
-    for idx, phase in geom.nonzero_phases.items():
-        if idx < len(mu):
-            theta[idx] = phase
-    return mu, mult, theta
+    return mu, mult
 
 
-def _scan_circle(geom, fiber, evaluate, n: int, limit: int | None = None):
-    """Circle modes through the first where evaluate(mu, mult, theta) ->
+def _scan_circle(fiber, evaluate, n: int, limit: int | None = None):
+    """Circle modes through the first where evaluate(mu, mult) ->
     (values, stop) stops, n modes a pass, n doubling up to limit.  Returns
     (stopped, table, values), cut after that mode if one stopped."""
     while True:
         n = min(n, limit or n)
-        table = mode_table(geom, fiber, n)
+        table = mode_table(fiber, n)
         values, stop = evaluate(*table)
         if stop.any():
             k = int(np.argmax(stop)) + 1
@@ -224,7 +211,7 @@ class DeterminantGrid(Sequence):
     errors: tuple[Exception | None, ...]
     h_Y: int
     regularization: dict | None
-    # mu, mult, theta, then the four logs, as in AssembledDeterminants
+    # mu, mult, then the four logs, as in AssembledDeterminants
     mode_logs: tuple[np.ndarray, ...] = field(repr=False)
     counts: tuple[int, ...] = field(repr=False)
 
@@ -250,36 +237,40 @@ def _fsums(rows: list) -> list[float]:
         return [_fsums([r])[0] for r in rows] if len(rows) > 1 else [math.nan]
 
 
+_TAIL_EPS = 1e-16      # a circle fiber's remainders stop below this, relative
+_MAX_MODES = 100_000   # and within this many modes, or the stretch fails
+
+
 @np.errstate(over="ignore")   # a total past the float range fails its stretch
-def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
-                tail_eps: float = 1e-16,
-                max_modes: int | None = None) -> DeterminantGrid:
+def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum,
+                Rs) -> DeterminantGrid:
     """All four log-determinants at each stretch in Rs, by closed forms; a1,
     a2 and the phases come from geom.  Finite fibers sum per-mode values
     exactly, in one modes x stretches pass.  Circle fibers, one pass per
     stretch, subtract the divergent growth per mode (mu C, mu L_i - log mu,
     log 4 mu^2), assign the subtracted sums their continued values, and cut
-    the remainder series once below tail_eps.  Raises on a condition
-    violation; a stretch's error is a RuntimeError (no cut within max_modes)
-    or a ValueError (a total past the float range)."""
+    the remainder series once below _TAIL_EPS.  Raises on a condition
+    violation; a stretch's error is a RuntimeError (no cut within
+    _MAX_MODES) or a ValueError (a total past the float range)."""
     condition_A_check(geom, fiber).raise_if_failed()
     Rs = np.asarray(Rs, dtype=float)
     if not np.all(np.isfinite(Rs) & (Rs > 0)):
         raise ValueError("a1, a2, R must be finite and positive")
     L1, L2 = geom.a1 + 2.0 * Rs, geom.a2 + 2.0 * Rs
     C = geom.a1 + geom.a2 + 4.0 * Rs
-    # zero modes: dets 2 - 2 cos theta, 2 L_i, (2 - 2 cos theta) / (L1 L2)
+    # zero modes: dets 4 sin^2(theta/2) = 2 - 2 cos theta, 2 L_i, and
+    # 4 sin^2(theta/2) / (L1 L2); the sine does not cancel at small theta
     hol = np.array(geom.holonomy)
-    flat = np.log(2.0 - 2.0 * np.cos(hol))[:, None]
+    flat = 2.0 * np.log(2.0 * np.abs(np.sin(0.5 * hol)))[:, None]
     zero_logs = np.broadcast_arrays(flat, np.log(2.0 * L1), np.log(2.0 * L2),
                                     flat - np.log(L1 * L2))
-    zeros = (np.zeros(len(hol)), np.ones(len(hol), dtype=np.int64), hol)
+    zeros = (np.zeros(len(hol)), np.ones(len(hol), dtype=np.int64))
     reg, errors = None, [None] * len(Rs)
     if fiber.kind == "finite":
-        mu, mult, theta = mode_table(geom, fiber)
-        table = tuple(map(np.concatenate, zip(zeros, (mu, mult, theta))))
+        mu, mult = mode_table(fiber)
+        table = tuple(map(np.concatenate, zip(zeros, (mu, mult))))
         logs = tuple(map(np.vstack, zip(zero_logs, _nonzero_logs(
-            mu[:, None], theta[:, None], L1, L2, C))))
+            mu[:, None], L1, L2, C))))
         # per stretch, the math.fsum of each mult-weighted column
         totals = [_fsums((table[1][:, None] * col).T.tolist()) for col in logs]
         counts = (len(table[0]),) * len(Rs)
@@ -290,7 +281,7 @@ def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
         reg = {"sum_mu": fiber_sqrt_zeta_at_minus_one(fiber), "mode_count":
                sq.zeta_at_zero, "sum_log_mu": -sq.zeta_prime_at_zero}
         s_mu, s_cnt, s_log = reg.values()
-        limit = max_modes or 100_000
+        limit = _MAX_MODES
         totals = [[math.nan] * len(Rs) for _ in range(4)]
         scanned = [((),) * 4] * len(Rs)   # each stretch's four remainders
         for j, (l1, l2, c) in enumerate(np.stack([L1, L2, C], 1).tolist()):
@@ -298,18 +289,17 @@ def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
             if math.isinf(scale):   # so is the head c * s_mu: failed below
                 continue
 
-            def remainders(mu, mult, theta):
-                rems = (*_growth_remainders(mu * c, mu * l1, mu * l2,
-                                            np.cos(theta)),
-                        _block_remainder(mu * l1, mu * l2, theta))
+            def remainders(mu, mult):
+                rems = (*_growth_remainders(mu * c, mu * l1, mu * l2),
+                        _block_remainder(mu * l1, mu * l2))
                 largest = np.max(np.abs(rems[:3]), axis=0)
-                return rems + (largest,), largest < tail_eps * scale
+                return rems + (largest,), largest < _TAIL_EPS * scale
 
             # the largest remainder is about 2 exp(-mu min(C, 2 L1, 2 L2))
-            reach = (max(math.log(3.0 / (tail_eps * scale)), 0.0)
+            reach = (max(math.log(3.0 / (_TAIL_EPS * scale)), 0.0)
                      / min(c, 2.0 * l1, 2.0 * l2))
-            stopped, (_, mult, _), rems = _scan_circle(
-                geom, fiber, remainders,
+            stopped, (_, mult), rems = _scan_circle(
+                fiber, remainders,
                 int(reach * fiber.circumference / (2.0 * math.pi)) + 2, limit)
             if not stopped:
                 errors[j] = RuntimeError(
@@ -325,7 +315,7 @@ def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
         # one table through the longest scan; stretch-major logs, of which
         # only the rows a stretch fills take memory
         h0, n = len(hol), max((len(r[0]) for r in scanned), default=0)
-        table = tuple(map(np.concatenate, zip(zeros, mode_table(geom, fiber, n))))
+        table = tuple(map(np.concatenate, zip(zeros, mode_table(fiber, n))))
         logs = tuple(np.zeros((h0 + n, len(Rs)), order="F") for _ in zero_logs)
         for j, rems in enumerate(scanned):
             for col, z, rem in zip(logs, zero_logs, rems):
@@ -340,39 +330,41 @@ def logdet_grid(geom: GlueGeometry, fiber: FiberSpectrum, Rs,
                            reg, table + logs, counts)
 
 
-def logdet_closed(geom: GlueGeometry, fiber: FiberSpectrum,
-                  tail_eps: float = 1e-16,
-                  max_modes: int | None = None) -> AssembledDeterminants:
+def logdet_closed(geom: GlueGeometry,
+                  fiber: FiberSpectrum) -> AssembledDeterminants:
     """logdet_grid at geom.R alone; raises that stretch's error."""
-    (entry,) = logdet_grid(geom, fiber, (geom.R,), tail_eps, max_modes)
+    (entry,) = logdet_grid(geom, fiber, (geom.R,))
     if isinstance(entry, Exception):
         raise entry
     return entry
 
 
+_TRACE_TAIL_EPS = 1e-18   # a circle fiber's trace series stops below this
+
+
 @np.errstate(over="ignore")   # mu L past the float range: a term of 0
-def trace_perp_inverse_diff(geom: GlueGeometry, fiber: FiberSpectrum,
-                            tail_eps: float = 1e-18) -> float:
+def trace_perp_inverse_diff(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
     """Trace of (block inverse minus the large-R limit) over nonzero modes.
 
     Per mode the 2x2 block sum B satisfies tr B^{-1} - 1/mu =
-    2 mu (s1 s2 cos(theta) - c1 c2)/det B with c_i = coth(mu L_i) - 1 and
+    2 mu (s1 s2 - c1 c2)/det B with c_i = coth(mu L_i) - 1 and
     s_i = csch(mu L_i); everything is evaluated in decaying exponentials.
     A circle fiber's series stops after the first mode past the second
-    whose term falls below tail_eps.
+    whose term falls below _TRACE_TAIL_EPS.
     """
-    def terms(mu, mult, theta):
+    def terms(mu, mult):
         (s1, c1), (s2, c2) = _csch_coth(mu * geom.L1), _csch_coth(mu * geom.L2)
-        cos_t = np.cos(theta)
         det_over_mu2 = (2.0 + c1 + c2) ** 2 - (s1 * s1 + s2 * s2
-                                               + 2.0 * s1 * s2 * cos_t)
-        d = 2.0 * (s1 * s2 * cos_t - c1 * c2) / (mu * det_over_mu2)
-        return (mult * d,), (np.abs(d) < tail_eps) & (np.arange(len(d)) > 1)
+                                               + 2.0 * s1 * s2)
+        d = 2.0 * (s1 * s2 - c1 * c2) / (mu * det_over_mu2)
+        return (mult * d,), ((np.abs(d) < _TRACE_TAIL_EPS)
+                             & (np.arange(len(d)) > 1))
 
     if fiber.kind == "finite":
-        (total,), _ = terms(*mode_table(geom, fiber))
+        (total,), _ = terms(*mode_table(fiber))
     else:  # a term is about exp(-mu C) / mu
-        reach = max(math.log(1.0 / (tail_eps * fiber.min_nonzero)), 0.0) / geom.C
+        reach = max(math.log(1.0 / (_TRACE_TAIL_EPS * fiber.min_nonzero)),
+                    0.0) / geom.C
         n = int(reach * fiber.circumference / (2.0 * math.pi)) + 3
-        _, _, (total,) = _scan_circle(geom, fiber, terms, n)
+        _, _, (total,) = _scan_circle(fiber, terms, n)
     return math.fsum(total.tolist())

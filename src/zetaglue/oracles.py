@@ -7,7 +7,8 @@ log-determinant by explicit eigenvalue enumeration plus analytic tail,
 and an inverse trace as the time integral of the heat trace.  The 1-D
 mode problems they run on (ModeProblem over a Circle or a
 DirichletInterval) are defined here, with scalar one-mode copies of
-base1d's closed forms and DN block for tests to compare against.
+base1d's closed forms and DN block, and the scalar heat traces that the
+array kernels of spectral_core and adiabatic are compared against.
 
 This is the only module that imports scipy, which the package does not
 depend on (it comes with the test extra).  The package does not import
@@ -23,22 +24,24 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .base1d import _OVERFLOW_ARG, _SMALL_ARG
+from .base1d import _OVERFLOW_ARG
 from .glue import ConditionAViolation, GlueGeometry, mode_table
 from .spectral_core import (
+    _EXP_FLOOR,
     EULER_GAMMA,
     ArithmeticFamily,
     EigenvalueSeq,
     FiberSpectrum,
-    HeatCoefficientMismatch,
     ZetaData,
     _family_zeta,
-    heat_trace_circle,
-    heat_trace_dirichlet,
     zeta_from_sequence,
 )
 
 __all__ = [
+    "HeatCoefficientMismatch",
+    "heat_trace_dirichlet",
+    "heat_trace_circle",
+    "half_fiber_heat_trace",
     "Circle",
     "DirichletInterval",
     "ModeProblem",
@@ -57,8 +60,90 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# Scalar heat traces of the 1-D base problems, references for the array
+# kernels of spectral_core and adiabatic
+# ---------------------------------------------------------------------------
+
+def heat_trace_dirichlet(L: float, mu: float, t: float) -> float:
+    """Tr exp(-t(-d^2 + mu^2)) on [0, L] with Dirichlet ends."""
+    _check_t(t, L)
+    if t >= L * L / 20.0:
+        # direct eigenvalue sum
+        total = 0.0
+        n = 1
+        while True:
+            ex = t * ((math.pi * n / L) ** 2 + mu * mu)
+            if ex > _EXP_FLOOR:
+                break
+            total += math.exp(-ex)
+            n += 1
+        return total
+    # image sum
+    theta_sum = 1.0
+    m = 1
+    while True:
+        ex = m * m * L * L / t
+        if ex > _EXP_FLOOR:
+            break
+        theta_sum += 2.0 * math.exp(-ex)
+        m += 1
+    return math.exp(-mu * mu * t) * (L / math.sqrt(4.0 * math.pi * t) * theta_sum - 0.5)
+
+
+def heat_trace_circle(C: float, theta: float, mu: float, t: float) -> float:
+    """Tr exp(-t(-d^2 + mu^2)) on a circle of circumference C, twist theta."""
+    _check_t(t, C)
+    if t >= C * C / 20.0:
+        # lines 2 pi n +- theta; the n = 0 line can underflow while the
+        # theta - 2 pi line is still above the floor, so the walk ends only
+        # past 2 pi n > |theta|, where both exponents grow with n
+        total = 0.0
+        n = 0
+        while True:
+            ex_p = t * (((2.0 * math.pi * n + theta) / C) ** 2 + mu * mu)
+            ex_m = t * (((-2.0 * math.pi * n + theta) / C) ** 2 + mu * mu)
+            if (2.0 * math.pi * n > abs(theta)
+                    and min(ex_p, ex_m) > _EXP_FLOOR):
+                break
+            term = 0.0
+            if ex_p <= _EXP_FLOOR:
+                term += math.exp(-ex_p)
+            if n > 0 and ex_m <= _EXP_FLOOR:
+                term += math.exp(-ex_m)
+            total += term
+            n += 1
+        return total
+    theta_sum = 1.0
+    m = 1
+    while True:
+        ex = m * m * C * C / (4.0 * t)
+        if ex > _EXP_FLOOR:
+            break
+        theta_sum += 2.0 * math.cos(m * theta) * math.exp(-ex)
+        m += 1
+    return math.exp(-mu * mu * t) * C / math.sqrt(4.0 * math.pi * t) * theta_sum
+
+
+def _check_t(t: float, length: float) -> None:
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    if t < 1e-300 or length * length / t > 1e300:
+        raise ValueError("t underflows the image-sum switch")
+
+
+def half_fiber_heat_trace(fiber: FiberSpectrum, t: float) -> float:
+    """Half the doubled cross-section trace, i.e. one copy's full trace."""
+    if fiber.kind == "finite":
+        return math.fsum(k * math.exp(-t * m * m) for m, k in fiber.modes)
+    return heat_trace_circle(fiber.circumference, 0.0, 0.0, t)
+
+
+# ---------------------------------------------------------------------------
 # 1-D mode problems and scalar references for base1d
 # ---------------------------------------------------------------------------
+
+_SMALL_ARG = 1.0   # the circle form switches to sinh^2 + sin^2 below this
+
 
 @dataclass(frozen=True)
 class Circle:
@@ -193,6 +278,19 @@ def dn_block(L: float, mu: float, w: complex = 1.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Heat route: zeta data from the trace of exp(-t * operator)
 # ---------------------------------------------------------------------------
+
+class HeatCoefficientMismatch(ValueError):
+    """Declared small-time heat coefficients disagree with the trace."""
+
+    def __init__(self, gap_leading: float, gap_constant: float):
+        self.gap_leading = gap_leading
+        self.gap_constant = gap_constant
+        super().__init__(
+            "small-time coefficients inconsistent with trace: "
+            f"measured-vs-declared gap {gap_leading:.3e} (t^-1/2), "
+            f"{gap_constant:.3e} (const)"
+        )
+
 
 def zeta_via_heat(trace: Callable[[float], float],
                   small_t_coeffs: Sequence[float],
@@ -353,9 +451,8 @@ def heat_route_crosscheck(geom: GlueGeometry, fiber: FiberSpectrum,
         if theta == 0.0:
             raise ConditionAViolation("selected mode has a kernel")
     else:
-        k = mode_index - fiber.h0
-        mus, _, thetas = mode_table(geom, fiber, k + 1)
-        mu, theta = float(mus[k]), float(thetas[k])
+        k = mode_index - fiber.h0   # nonzero modes carry no twist
+        mu, theta = float(mode_table(fiber, k + 1)[0][k]), 0.0
     problems = (
         ("closed", ModeProblem(mu, Circle(geom.C, theta))),
         ("piece1", ModeProblem(mu, DirichletInterval(geom.L1))),

@@ -155,25 +155,23 @@ def _model_families(alpha: float, quarter: bool) -> tuple[ArithmeticFamily, ...]
     return (ArithmeticFamily(c, d, 0), ArithmeticFamily(c, -d, 1))
 
 
-def model_zeta_single_phase(alpha: float, cutoff: int = 10_000) -> ZetaData:
+def model_zeta_single_phase(alpha: float) -> ZetaData:
     """Truncated-zeta numerics for a single-phase model tower."""
     kernel = 1 if _canonical_phase(alpha) == 0.0 else 0
-    return zeta_from_sequence(
-        EigenvalueSeq(_model_families(alpha, quarter=False),
-                      kernel_dim=kernel),
-        cutoff=cutoff)
+    return zeta_from_sequence(EigenvalueSeq(
+        _model_families(alpha, quarter=False), kernel_dim=kernel))
 
 
-def model_zeta_quarter_c12(geom: GlueGeometry, cutoff: int = 10_000) -> ZetaData:
+def model_zeta_quarter_c12(geom: GlueGeometry) -> ZetaData:
     """Truncated-zeta numerics for the quarter-scaled composite model."""
     fams: list[ArithmeticFamily] = []
     for theta in geom.holonomy:
         for alpha in (theta, TWO_PI - theta):
             fams.extend(_model_families(alpha, quarter=True))
-    return zeta_from_sequence(EigenvalueSeq(tuple(fams)), cutoff=cutoff)
+    return zeta_from_sequence(EigenvalueSeq(tuple(fams)))
 
 
-def model_zeta_cbar_star(geom: GlueGeometry, cutoff: int = 10_000) -> ZetaData:
+def model_zeta_cbar_star(geom: GlueGeometry) -> ZetaData:
     """Truncated-zeta numerics for one reflected piece model (kernel out)."""
     fams: list[ArithmeticFamily] = []
     kernel = 0
@@ -181,8 +179,7 @@ def model_zeta_cbar_star(geom: GlueGeometry, cutoff: int = 10_000) -> ZetaData:
         fams.extend(_model_families(0.0, quarter=False))
         kernel += 1
         fams.extend(_model_families(math.pi, quarter=False))
-    return zeta_from_sequence(
-        EigenvalueSeq(tuple(fams), kernel_dim=kernel), cutoff=cutoff)
+    return zeta_from_sequence(EigenvalueSeq(tuple(fams), kernel_dim=kernel))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Everything here is the bookkeeping for one self-adjoint operator with a
 discrete spectrum: its zeta function near s = 0, the regularized
-log-determinant, and the heat trace.  Eigenvalue towers of the form
+log-determinant, and the heat traces of the two 1-D base problems at
+mu = 0, over arrays of t.  Eigenvalue towers of the form
 (c*n + d)^2 + mu^2 are continued past the naive sum with a Hurwitz-zeta
 tail evaluated by Euler-Maclaurin.  The heat route, which recovers the
-same data from the trace, is an oracle in zetaglue.oracles.
+same data from the trace, and the scalar heat traces at any mu are
+oracles in zetaglue.oracles.
 
 Cross-section ("fiber") spectra come in two flavors: a finite eigenvalue
 multiset, or the analytic family of a circle cross-section.  For the circle
@@ -28,10 +30,7 @@ __all__ = [
     "EigenvalueSeq",
     "FiberSpectrum",
     "TailNotConverged",
-    "HeatCoefficientMismatch",
     "zeta_from_sequence",
-    "heat_trace_dirichlet",
-    "heat_trace_circle",
     "fiber_zeta_data",
     "fiber_sqrt_zeta_data",
     "fiber_scaled_sqrt_logdet",
@@ -60,19 +59,6 @@ class TailNotConverged(RuntimeError):
         self.cutoff = cutoff
         super().__init__(
             f"tail-not-converged: residual estimate {residual:.3e} at cutoff {cutoff}"
-        )
-
-
-class HeatCoefficientMismatch(ValueError):
-    """Declared small-time heat coefficients disagree with the trace."""
-
-    def __init__(self, gap_leading: float, gap_constant: float):
-        self.gap_leading = gap_leading
-        self.gap_constant = gap_constant
-        super().__init__(
-            "small-time coefficients inconsistent with trace: "
-            f"measured-vs-declared gap {gap_leading:.3e} (t^-1/2), "
-            f"{gap_constant:.3e} (const)"
         )
 
 
@@ -156,9 +142,10 @@ class EigenvalueSeq:
 # ---------------------------------------------------------------------------
 
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6)
+_EM_TERMS = 6   # Bernoulli corrections summed past the direct terms
 
 
-def hurwitz_zeta_em(s: float, a: float, terms: int = 6) -> float:
+def hurwitz_zeta_em(s: float, a: float) -> float:
     """Hurwitz zeta(s, a) for real s > 1, a > 0, by Euler-Maclaurin."""
     if s <= 1:
         raise ValueError("hurwitz_zeta_em needs s > 1")
@@ -167,7 +154,7 @@ def hurwitz_zeta_em(s: float, a: float, terms: int = 6) -> float:
     aK = a + K
     tot += aK ** (1 - s) / (s - 1) + 0.5 * aK ** (-s)
     fac = s
-    for i in range(1, terms + 1):
+    for i in range(1, _EM_TERMS + 1):
         tot += _BERNOULLI[i - 1] / math.factorial(2 * i) * fac * aK ** (-s - 2 * i + 1)
         fac *= (s + 2 * i - 1) * (s + 2 * i)
     return tot
@@ -260,68 +247,8 @@ def zeta_from_sequence(seq: EigenvalueSeq, cutoff: int = 10_000,
 
 
 # ---------------------------------------------------------------------------
-# Heat traces of the two 1-D base problems, image-sum accelerated
+# Heat traces of the two 1-D base problems at mu = 0, image-sum accelerated
 # ---------------------------------------------------------------------------
-
-def heat_trace_dirichlet(L: float, mu: float, t: float) -> float:
-    """Tr exp(-t(-d^2 + mu^2)) on [0, L] with Dirichlet ends."""
-    _check_t(t, L)
-    if t >= L * L / 20.0:
-        # direct eigenvalue sum
-        total = 0.0
-        n = 1
-        while True:
-            ex = t * ((math.pi * n / L) ** 2 + mu * mu)
-            if ex > _EXP_FLOOR:
-                break
-            total += math.exp(-ex)
-            n += 1
-        return total
-    # image sum
-    theta_sum = 1.0
-    m = 1
-    while True:
-        ex = m * m * L * L / t
-        if ex > _EXP_FLOOR:
-            break
-        theta_sum += 2.0 * math.exp(-ex)
-        m += 1
-    return math.exp(-mu * mu * t) * (L / math.sqrt(4.0 * math.pi * t) * theta_sum - 0.5)
-
-
-def heat_trace_circle(C: float, theta: float, mu: float, t: float) -> float:
-    """Tr exp(-t(-d^2 + mu^2)) on a circle of circumference C, twist theta."""
-    _check_t(t, C)
-    if t >= C * C / 20.0:
-        # lines 2 pi n +- theta; the n = 0 line can underflow while the
-        # theta - 2 pi line is still above the floor, so the walk ends only
-        # past 2 pi n > |theta|, where both exponents grow with n
-        total = 0.0
-        n = 0
-        while True:
-            ex_p = t * (((2.0 * math.pi * n + theta) / C) ** 2 + mu * mu)
-            ex_m = t * (((-2.0 * math.pi * n + theta) / C) ** 2 + mu * mu)
-            if (2.0 * math.pi * n > abs(theta)
-                    and min(ex_p, ex_m) > _EXP_FLOOR):
-                break
-            term = 0.0
-            if ex_p <= _EXP_FLOOR:
-                term += math.exp(-ex_p)
-            if n > 0 and ex_m <= _EXP_FLOOR:
-                term += math.exp(-ex_m)
-            total += term
-            n += 1
-        return total
-    theta_sum = 1.0
-    m = 1
-    while True:
-        ex = m * m * C * C / (4.0 * t)
-        if ex > _EXP_FLOOR:
-            break
-        theta_sum += 2.0 * math.cos(m * theta) * math.exp(-ex)
-        m += 1
-    return math.exp(-mu * mu * t) * C / math.sqrt(4.0 * math.pi * t) * theta_sum
-
 
 def _exp_neg(x: np.ndarray) -> np.ndarray:
     """exp(-x), 0 where x > 745: numpy computes the subnormal results past
@@ -330,8 +257,8 @@ def _exp_neg(x: np.ndarray) -> np.ndarray:
 
 
 def _heat_trace_dirichlet_mu0(L: float, t: np.ndarray) -> np.ndarray:
-    """heat_trace_dirichlet(L, 0, t) at every t of an array, each t on the
-    scalar kernel's branch."""
+    """Tr exp(t d^2) on [0, L] with Dirichlet ends at every t of an array:
+    the direct eigenvalue sum from t = L^2 / 20 on, the image sum below."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     direct = t >= L * L / 20.0
@@ -349,8 +276,9 @@ def _heat_trace_dirichlet_mu0(L: float, t: np.ndarray) -> np.ndarray:
 
 
 def _heat_trace_circle_mu0(C: float, theta: float, t: np.ndarray) -> np.ndarray:
-    """heat_trace_circle(C, theta, 0, t) at every t of an array, each t on
-    the scalar kernel's branch."""
+    """Tr exp(t d^2) on a circle of circumference C with twist theta at every
+    t of an array: the direct sum over the lines 2 pi n + theta from
+    t = C^2 / 20 on, the image sum below."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     direct = t >= C * C / 20.0
@@ -370,13 +298,6 @@ def _heat_trace_circle_mu0(C: float, theta: float, t: np.ndarray) -> np.ndarray:
                            ).sum(axis=0)
         out[~direct] = C / np.sqrt(4.0 * math.pi * ti) * theta_sum
     return out
-
-
-def _check_t(t: float, length: float) -> None:
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if t < 1e-300 or length * length / t > 1e300:
-        raise ValueError("t underflows the image-sum switch")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from zetaglue.oracles import (
     DirichletInterval,
     ModeProblem,
     heat_coeffs_for_mode,
+    heat_trace_circle,
+    heat_trace_dirichlet,
     heat_trace_mode,
     zeta_via_heat,
 )
@@ -46,8 +48,6 @@ from zetaglue.spectral_core import (
     ArithmeticFamily,
     EigenvalueSeq,
     FiberSpectrum,
-    heat_trace_circle,
-    heat_trace_dirichlet,
     zeta_from_sequence,
 )
 

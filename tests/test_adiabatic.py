@@ -8,7 +8,6 @@ import pytest
 from zetaglue.adiabatic import (
     consistency_triangle_gap,
     extrapolate,
-    half_fiber_heat_trace,
     predicted_bfk_constant,
     predicted_dn_limit,
     predicted_main_limit,
@@ -29,18 +28,20 @@ from zetaglue.glue import (
     logdet_grid,
     mode_table,
 )
-from zetaglue.oracles import dn_block, logdet_circle_mode, logdet_dirichlet_mode
-from zetaglue.spectral_core import (
-    FiberSpectrum,
-    fiber_sqrt_zeta_at_minus_one,
+from zetaglue.oracles import (
+    dn_block,
+    half_fiber_heat_trace,
     heat_trace_circle,
     heat_trace_dirichlet,
+    logdet_circle_mode,
+    logdet_dirichlet_mode,
 )
+from zetaglue.spectral_core import FiberSpectrum, fiber_sqrt_zeta_at_minus_one
 
 
 def relative_heat_trace(geom, fiber, t):
     """Tr of the glued heat operator minus both cut pieces at one t."""
-    return _TwistGroups(geom, fiber, t).relative_trace(geom, t)
+    return float(_TwistGroups(geom, fiber, t).relative_trace(geom, [t])[0])
 
 
 def log_abs_deviation(geom, fiber, t):
@@ -77,12 +78,16 @@ class TestSweep:
 
 # Vectorized rows against the scalar closed-form references, mode by mode.
 # Frequencies put mu C and mu L_i on both sides of the x = 30 switch across
-# the grid; three zero modes, multiplicities up to 3, two nonzero phases.
+# the grid; three zero modes, multiplicities up to 3.
 WIDE_FIBER = FiberSpectrum.finite([(0.0, 3), (0.3, 1), (1.0, 2), (1.5, 3),
                                    (2.5, 1), (3.7, 2), (9.0, 1)])
-WIDE_GEOM = GlueGeometry(1.0, 2.0, 2.0, holonomy=(0.4, 2.0, 5.5),
-                         nonzero_phases={1: 0.7, 3: 2.0})
+WIDE_GEOM = GlueGeometry(1.0, 2.0, 2.0, holonomy=(0.4, 2.0, 5.5))
 WIDE_GRID = (2.0, 3.0, 4.0, 8.0, 16.0)
+
+
+def _twists(g, rows):
+    """Each row's twist: the holonomy of a zero mode, 0 for the rest."""
+    return list(g.holonomy) + [0.0] * (len(rows) - len(g.holonomy))
 
 
 def _reference_logs(g, mu, theta):
@@ -105,15 +110,14 @@ class TestVectorizedRows:
         for R, asm in zip(WIDE_GRID, entries):
             g = WIDE_GEOM.with_R(R)
             assert [r.label for r in asm.rows] == ["zero"] * 3 + ["nonzero"] * 6
-            assert [r.theta for r in asm.rows] == [0.4, 2.0, 5.5,
-                                                   0.0, 0.7, 0.0, 2.0, 0.0, 0.0]
-            for row in asm.rows:
-                ref = _reference_logs(g, row.mu, row.theta)
+            twists = _twists(g, asm.rows)
+            for row, theta in zip(asm.rows, twists):
+                ref = _reference_logs(g, row.mu, theta)
                 got = (row.log_det_M, row.log_det_M1, row.log_det_M2,
                        row.log_det_R)
                 assert all(_close(a, b) for a, b in zip(got, ref)), (R, row)
-            total = math.fsum(r.mult * _reference_logs(g, r.mu, r.theta)[3]
-                              for r in asm.rows)
+            total = math.fsum(r.mult * _reference_logs(g, r.mu, theta)[3]
+                              for r, theta in zip(asm.rows, twists))
             assert _close(asm.log_det_R, total)
 
     def test_switch_is_straddled(self):
@@ -133,8 +137,7 @@ class TestVectorizedRows:
     @pytest.mark.parametrize("circumference", [2 * math.pi, 37.0])
     def test_circle_rows_match_scalar_closed_forms(self, circumference):
         fib = FiberSpectrum.circle(circumference)
-        g0 = GlueGeometry(1.0, 2.0, 1.0, holonomy=(math.pi / 2,),
-                          nonzero_phases={0: 1.0, 2: 3.0})
+        g0 = GlueGeometry(1.0, 2.0, 1.0, holonomy=(math.pi / 2,))
         Rs = (0.5, 1.0, 4.0, 16.0)
         for row in sweep(g0, fib, Rs).rows:
             g = g0.with_R(row.R)
@@ -148,7 +151,7 @@ class TestVectorizedRows:
                 # rows hold remainders past the subtracted growth
                 growth = (r.mu * g.C, r.mu * g.L1 - math.log(r.mu),
                           r.mu * g.L2 - math.log(r.mu), math.log(4 * r.mu ** 2))
-                ref = _reference_logs(g, r.mu, r.theta)
+                ref = _reference_logs(g, r.mu, 0.0)
                 got = (r.log_det_M, r.log_det_M1, r.log_det_M2, r.log_det_R)
                 assert all(_close(gr + v, b) for gr, v, b in zip(growth, got, ref))
 
@@ -161,9 +164,7 @@ def _old_circle_mode_count(g, fib, tail_eps=1e-16):
     while True:
         k += 1
         mu = 2.0 * math.pi * k / fib.circumference
-        theta = g.nonzero_phases.get(k - 1, 0.0)
-        e_c = math.exp(-mu * g.C)
-        rems = (math.log1p(-2.0 * math.cos(theta) * e_c + e_c * e_c),
+        rems = (2.0 * math.log1p(-math.exp(-mu * g.C)),
                 math.log1p(-math.exp(-2.0 * mu * g.L1)),
                 math.log1p(-math.exp(-2.0 * mu * g.L2)))
         if max(map(abs, rems)) < tail_eps * scale:
@@ -327,14 +328,15 @@ class TestHeatCancellation:
 
 
 def _per_mode_table(geom, fiber, mu_max):
-    """(mu, mult, theta) over all fiber modes, zero modes first; a circle
-    fiber's modes run through the first one past mu_max."""
+    """(mu, mult, theta) over all fiber modes, zero modes first with their
+    holonomies, the rest untwisted; a circle fiber's modes run through the
+    first one past mu_max."""
     n = (None if fiber.kind == "finite"
          else int(mu_max * fiber.circumference / (2.0 * math.pi)) + 2)
-    mu, mult, theta = mode_table(geom, fiber, n)
+    mu, mult = mode_table(fiber, n)
     h0 = len(geom.holonomy)
     return zip([0.0] * h0 + mu.tolist(), [1] * h0 + mult.tolist(),
-               list(geom.holonomy) + theta.tolist())
+               list(geom.holonomy) + [0.0] * len(mu))
 
 
 def _relative_trace_per_mode(geom, fiber, t):
@@ -387,8 +389,8 @@ def _switch_times(geom):
 
 TWIST_FIBER = FiberSpectrum.finite([(0.0, 3), (0.4, 2), (0.9, 3), (1.7, 1),
                                     (3.2, 2), (6.5, 3)])
-TWIST_GEOM = GlueGeometry(1.0, 2.5, 1.0, holonomy=(0.7, 2.0, 0.7),
-                         nonzero_phases={0: 1.1, 2: 2.5})
+# two zero modes share the holonomy 0.7
+TWIST_GEOM = GlueGeometry(1.0, 2.5, 1.0, holonomy=(0.7, 2.0, 0.7))
 
 
 class TestTwistFactorization:
@@ -397,8 +399,7 @@ class TestTwistFactorization:
     CASES = (
         [(TWIST_FIBER, TWIST_GEOM, t) for t in _switch_times(TWIST_GEOM)]
         + [(TWIST_FIBER, TWIST_GEOM.with_R(4.0), t) for t in (0.3, 40.0)]
-        + [(FiberSpectrum.circle(c), GlueGeometry(1.3, 0.8, R, holonomy=(2.1,),
-                                                  nonzero_phases={0: 0.9, 3: 2.0}),
+        + [(FiberSpectrum.circle(c), GlueGeometry(1.3, 0.8, R, holonomy=(2.1,)),
             t)
            for c, R in ((1.0, 1.0), (2 * math.pi, 1.0), (37.0, 2.0), (1000.0, 8.0))
            for t in _switch_times(GlueGeometry(1.3, 0.8, R))]
@@ -492,12 +493,12 @@ class TestGeneralizedInstances:
 
     def test_diagonal_holonomy_threads_through(self):
         fib = FiberSpectrum.finite([(0.0, 1), (1.0, 1)])
-        g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(math.pi / 2,),
-                         nonzero_phases={0: 1.0})
-        # the gluing constant is gauge-independent
-        assert abs(math.exp(logdet_closed(g, fib).log_bfk_ratio)
-                   - 0.0625) < 1e-12
-        assert verify_theorem_main(sweep(g, fib)).passed
+        for theta in (0.3, math.pi / 2, 5.0):
+            g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(theta,))
+            # the gluing constant does not depend on the holonomy
+            assert abs(math.exp(logdet_closed(g, fib).log_bfk_ratio)
+                       - 0.0625) < 1e-12
+            assert verify_theorem_main(sweep(g, fib)).passed
 
 
 def test_sweep_row_failure_is_marked():
@@ -523,6 +524,18 @@ def test_circle_sweep_past_the_float_range_fails_its_rows():
     assert not good.failed and good.log_det_M == logdet_closed(g, fib).log_det_M
     assert [(r.failed, r.error) for r in rows] == [
         (True, f"non-finite log-determinant at R={R:g}") for R in (1e307, 1e308)]
+
+
+@pytest.mark.parametrize("circumference, bound", [(1e4, 2e-13), (1e5, 1e-11)])
+def test_wide_circle_sweep_holds_the_gluing_constant(circumference, bound):
+    # the scan sums circle remainders down to mu C of about 1e-3 here: a
+    # remainder that loses eps / x^2 there reads 1.4e-12 at 1e4 and
+    # 7.0e-11 at 1e5, one that loses eps / x stays below both bounds
+    fib = FiberSpectrum.circle(circumference)
+    g = GlueGeometry(1.0, 2.0, 2.0, holonomy=(1.5,))
+    check = verify_bfk_corollary(sweep(g, fib, (2.0, 4.0, 16.0, 64.0)))
+    assert check.failed_rows == ()
+    assert check.max_rel_dev <= bound
 
 
 def test_bfk_fails_when_rows_fail():

@@ -79,20 +79,20 @@ def test_closed_forms_match_oracle_on_grid(L, mu, base):
     assert abs(closed - oracle) <= resid
 
 
-# nonzero modes with mu C below 1, where 2 cosh(mu C) - 2 cos(theta) cancels
-SMALL_ARGS = [(10.0, 0.0, 1e-6), (10.0, 0.0, 1e-8), (3.0, 0.0, 1e-10),
-              (3.0, 1e-9, 1e-10), (5.0, 2.0, 1e-3), (7.0, 0.3, 0.1)]
+# untwisted nonzero modes with mu C from 1e-9 to 10; below 1,
+# 2 cosh(mu C) - 2 cancels
+SMALL_ARGS = [(10.0, 1e-6), (10.0, 1e-8), (3.0, 1e-10), (5.0, 1e-3),
+              (7.0, 0.1), (7.0, 1.0 / 7.0), (5.0, 2.0)]
 
 
-@pytest.mark.parametrize("C,theta,mu", SMALL_ARGS)
-def test_small_argument_circle_form_matches_oracle(C, theta, mu):
+@pytest.mark.parametrize("C,mu", SMALL_ARGS)
+def test_small_argument_circle_form_matches_oracle(C, mu):
     # the array form, the scalar reference and eigenvalue enumeration agree
     # where the direct form loses up to all of its digits
-    log_m = float(_nonzero_logs(np.array([mu]), np.array([theta]),
-                                1.0, 2.0, C)[0][0])
-    oracle, resid = oracle_logdet_truncated(ModeProblem(mu, Circle(C, theta)))
+    log_m = float(_nonzero_logs(np.array([mu]), 1.0, 2.0, C)[0][0])
+    oracle, resid = oracle_logdet_truncated(ModeProblem(mu, Circle(C, 0.0)))
     assert abs(log_m - oracle) <= resid
-    assert abs(log_m - logdet_circle_mode(C, theta, mu)) \
+    assert abs(log_m - logdet_circle_mode(C, 0.0, mu)) \
         <= 1e-14 * max(1.0, abs(log_m))
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zetaglue import glue
 from zetaglue.glue import (
     ConditionAViolation,
     GlueGeometry,
@@ -58,7 +59,7 @@ class TestGeometry:
 class TestConditionA:
     def test_ok(self, std_fiber, std_geom):
         rep = condition_A_check(std_geom(), std_fiber)
-        assert rep.ok and rep.common_fixed_space_trivial
+        assert rep.ok and rep.violations == ()
 
     def test_violation(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(0.0,))
@@ -114,10 +115,12 @@ class TestLogdetClosed:
 
 
 class TestCircleFiberRegularization:
-    def test_cutoff_doubling_stability(self, circle_fiber):
+    def test_cutoff_doubling_stability(self, circle_fiber, monkeypatch):
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(math.pi / 2,))
-        rough = logdet_closed(g, circle_fiber, tail_eps=1e-8)
-        fine = logdet_closed(g, circle_fiber, tail_eps=1e-17)
+        monkeypatch.setattr(glue, "_TAIL_EPS", 1e-8)
+        rough = logdet_closed(g, circle_fiber)
+        monkeypatch.setattr(glue, "_TAIL_EPS", 1e-17)
+        fine = logdet_closed(g, circle_fiber)
         for col in ("log_det_M", "log_det_M1", "log_det_M2", "log_det_R"):
             assert abs(getattr(rough, col) - getattr(fine, col)) < 1e-9
 
@@ -136,24 +139,27 @@ class TestCircleFiberRegularization:
         assert reg["mode_count"] == -1.0
         assert abs(reg["sum_log_mu"] - math.log(2 * math.pi)) < 1e-14
 
-    def test_nonconvergence_fails_its_stretch_alone(self):
+    def test_nonconvergence_fails_its_stretch_alone(self, monkeypatch):
         # the shortest stretch needs about 1500 modes, the others 100 or less
         fiber = FiberSpectrum.circle(1000.0)
         g = GlueGeometry(1.0, 2.0, 0.5, holonomy=(math.pi / 2,))
         Rs = (0.5, 16.0, 64.0)
-        grid = logdet_grid(g, fiber, Rs, max_modes=200)
+        full = logdet_grid(g, fiber, Rs)
+        monkeypatch.setattr(glue, "_MAX_MODES", 200)
+        grid = logdet_grid(g, fiber, Rs)
         assert isinstance(grid[0], RuntimeError)
         assert "did not converge within 200 modes" in str(grid[0])
-        for R, asm, full in zip(Rs[1:], grid[1:], logdet_grid(g, fiber, Rs)[1:]):
-            ref = logdet_closed(g.with_R(R), fiber, max_modes=200)
-            for got in (ref, full):
+        for R, asm, whole in zip(Rs[1:], grid[1:], full[1:]):
+            ref = logdet_closed(g.with_R(R), fiber)
+            for got in (ref, whole):
                 assert _totals(asm) == _totals(got)
                 assert asm.rows == got.rows and asm.regularization == got.regularization
 
-    def test_nonconvergence_reported(self, circle_fiber):
+    def test_nonconvergence_reported(self, circle_fiber, monkeypatch):
         g = GlueGeometry(1.0, 2.0, 0.5, holonomy=(math.pi / 2,))
+        monkeypatch.setattr(glue, "_MAX_MODES", 2)
         with pytest.raises(RuntimeError, match="did not converge"):
-            logdet_closed(g, circle_fiber, max_modes=2)
+            logdet_closed(g, circle_fiber)
 
 
 def block_sum(geom, mu, theta=0.0):

@@ -7,8 +7,11 @@ import pytest
 from zetaglue.oracles import (
     Circle,
     DirichletInterval,
+    HeatCoefficientMismatch,
     ModeProblem,
     heat_coeffs_for_mode,
+    heat_trace_circle,
+    heat_trace_dirichlet,
     heat_trace_mode,
     tail_residual_bound,
     zeta_via_heat,
@@ -17,7 +20,6 @@ from zetaglue.spectral_core import (
     ArithmeticFamily,
     EigenvalueSeq,
     FiberSpectrum,
-    HeatCoefficientMismatch,
     TailNotConverged,
     ZetaData,
     _exact_sum,
@@ -25,8 +27,6 @@ from zetaglue.spectral_core import (
     fiber_sqrt_zeta_at_minus_one,
     fiber_sqrt_zeta_data,
     fiber_zeta_data,
-    heat_trace_circle,
-    heat_trace_dirichlet,
     hurwitz_zeta_em,
     zeta_from_sequence,
 )
