@@ -173,8 +173,7 @@ def _log_det_half_complement(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
     """log det((Id - U)/2), U the composite scattering matrix at 0.  Per
     zero mode U is diag(e^{i theta}, e^{-i theta}), so the determinant is
     the product of sin^2(theta_j / 2)."""
-    if len(geom.holonomy) != fiber.h0:
-        raise ValueError("holonomy/fiber mismatch")
+    condition_A_check(geom, fiber).raise_if_failed()
     return math.fsum(2.0 * math.log(abs(math.sin(0.5 * t)))
                      for t in geom.holonomy)
 

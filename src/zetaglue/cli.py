@@ -547,12 +547,6 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _provenance_lines(cfg: dict) -> list[str]:
-    return [f"# zetaglue-artifact v{__version__}",
-            f"# experiment: {cfg['experiment']}",
-            f"# config-sha256: {_config_hash(cfg)}"]
-
-
 def _strict_json(x):
     """x with every non-finite float replaced by None, so that it dumps as
     strict JSON; keys are kept."""
@@ -565,8 +559,12 @@ def _strict_json(x):
     return x
 
 
-def _write_lines(path: Path, cfg: dict, lines):
-    path.write_text("\n".join(_provenance_lines(cfg) + list(lines)) + "\n")
+def _write_lines(path: Path, cfg: dict, digest: str, lines):
+    """Write lines under the provenance header; digest is the config hash."""
+    header = [f"# zetaglue-artifact v{__version__}",
+              f"# experiment: {cfg['experiment']}",
+              f"# config-sha256: {digest}"]
+    path.write_text("\n".join(header + list(lines)) + "\n")
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> int:
@@ -579,7 +577,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
     summary.update({gate: bool(ok) for gate, ok in gates.items()})
     summary["pass"] = not failing
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_lines(out_dir / f"{name}.csv", cfg, [",".join(cols)] + [
+    digest = _config_hash(cfg)
+    _write_lines(out_dir / f"{name}.csv", cfg, digest, [",".join(cols)] + [
         ",".join(_fmt(x) for x in row) for row in rows])
     summary_doc = {
         "experiment": name,
@@ -587,7 +586,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         "summary": summary,
         "provenance": {
             "artifact_version": __version__,
-            "config_sha256": _config_hash(cfg),
+            "config_sha256": digest,
             "resolved_config": cfg,
         },
     }
@@ -596,7 +595,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
                    allow_nan=False) + "\n")
     if cfg["xy_files"]:
         for series, points in xy.items():
-            _write_lines(out_dir / f"{name}_{series}.xy", cfg,
+            _write_lines(out_dir / f"{name}_{series}.xy", cfg, digest,
                          (f"{_fmt(float(x))} {_fmt(float(y))}"
                           for x, y in points))
     if failing:

@@ -116,8 +116,12 @@ def condition_A_check(geom: GlueGeometry, fiber: FiberSpectrum) -> ConditionARep
     if len(geom.holonomy) != fiber.h0:
         raise ValueError(f"holonomy must carry one phase per zero mode "
                          f"({fiber.h0} needed, {len(geom.holonomy)} given)")
+    # a phase below 1e-323 rounds its half-angle, and so sin(theta/2), to 0
     bad = tuple(f"zero mode {j}: holonomy phase 0 gives a flat circle mode"
-                for j, t in enumerate(geom.holonomy) if t == 0.0)
+                if t == 0.0 else f"zero mode {j}: holonomy phase {t!r} "
+                "underflows sin(theta/2) to 0, a flat circle mode"
+                for j, t in enumerate(geom.holonomy)
+                if math.sin(0.5 * t) == 0.0)
     return ConditionAReport(ok=not bad, violations=bad)
 
 

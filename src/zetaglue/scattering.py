@@ -55,6 +55,9 @@ TWO_PI = 2.0 * math.pi
 # cap on the roots svalues_exact enumerates for one operator at one stretch;
 # its window holds about h0 R^(-kappa) length / pi of them
 MAX_WINDOW_ROOTS = 100_000
+# cutoff of the model towers' truncated zeta: they have mu = 0, so their
+# lgamma tail is exact at any cutoff, and a larger one only adds rounding
+_MODEL_CUTOFF = 100
 
 
 def _piece_matrix(piece: int, lam: float, geom: GlueGeometry) -> np.ndarray:
@@ -159,7 +162,8 @@ def model_zeta_single_phase(alpha: float) -> ZetaData:
     """Truncated-zeta numerics for a single-phase model tower."""
     kernel = 1 if _canonical_phase(alpha) == 0.0 else 0
     return zeta_from_sequence(EigenvalueSeq(
-        _model_families(alpha, quarter=False), kernel_dim=kernel))
+        _model_families(alpha, quarter=False), kernel_dim=kernel),
+        cutoff=_MODEL_CUTOFF)
 
 
 def model_zeta_quarter_c12(geom: GlueGeometry) -> ZetaData:
@@ -168,7 +172,8 @@ def model_zeta_quarter_c12(geom: GlueGeometry) -> ZetaData:
     for theta in geom.holonomy:
         for alpha in (theta, TWO_PI - theta):
             fams.extend(_model_families(alpha, quarter=True))
-    return zeta_from_sequence(EigenvalueSeq(tuple(fams)))
+    return zeta_from_sequence(EigenvalueSeq(tuple(fams)),
+                              cutoff=_MODEL_CUTOFF)
 
 
 def model_zeta_cbar_star(geom: GlueGeometry) -> ZetaData:
@@ -179,7 +184,8 @@ def model_zeta_cbar_star(geom: GlueGeometry) -> ZetaData:
         fams.extend(_model_families(0.0, quarter=False))
         kernel += 1
         fams.extend(_model_families(math.pi, quarter=False))
-    return zeta_from_sequence(EigenvalueSeq(tuple(fams), kernel_dim=kernel))
+    return zeta_from_sequence(EigenvalueSeq(tuple(fams), kernel_dim=kernel),
+                              cutoff=_MODEL_CUTOFF)
 
 
 @dataclass(frozen=True)

@@ -160,32 +160,6 @@ def hurwitz_zeta_em(s: float, a: float) -> float:
     return tot
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """Sum of a float array to math.fsum's accuracy, without a Python loop.
-
-    A pairwise TwoSum cascade (Ogita, Rump and Oishi): the array, padded
-    with zeros to a power of two, is halved level by level, t = a + b,
-    and each pair's rounding error (a - (t - bb)) + (b - bb), bb = t - a,
-    is exact.  Each level's errors are summed in numpy, and one fsum folds
-    those level totals with the last partial.  Only the level sums round,
-    at second order: the result is within an ulp of math.fsum's plus
-    n eps^2 sum |x|, which is math.fsum's value unless the sum cancels
-    nearly all of sum |x|.
-    """
-    a = np.zeros(1 << max(x.size - 1, 0).bit_length())
-    a[:x.size] = x
-    level_errors = []
-    while a.size > 1:
-        lo, hi = a[:a.size // 2], a[a.size // 2:]
-        t = lo + hi
-        bb = t - lo
-        level_errors.append(float(((lo - (t - bb)) + (hi - bb)).sum()))
-        a = t
-    total = math.fsum(level_errors + [float(a[0])])
-    # TwoSum makes nan of an infinite term; fsum's answer stands instead
-    return total if math.isfinite(total) else math.fsum(x.tolist())
-
-
 def _family_zeta(fam: ArithmeticFamily, mu: float, cutoff: int, tail_order: int):
     """(zeta(0), zeta'(0), tail residual, log terms) for one arithmetic family.
 
@@ -198,24 +172,26 @@ def _family_zeta(fam: ArithmeticFamily, mu: float, cutoff: int, tail_order: int)
     a = N + d / c
     if (mu / (c * a)) ** 2 >= 0.25:
         raise TailNotConverged((mu / (c * a)) ** 2, N)
-    ratio = (mu / c) ** 2  # binomial expansion parameter against (c n + d)^2
 
     n = np.arange(n0, N, dtype=float)
     logs = np.log((c * n + d) ** 2 + mu * mu)
 
     zeta0 = (N - n0) + (0.5 - a)
-    zprime = -_exact_sum(logs)
+    zprime = -math.fsum(logs.tolist())
     zprime += -2.0 * math.log(c) * (0.5 - a)
     zprime += 2.0 * (math.lgamma(a) - 0.5 * LOG_2PI)
-    for j in range(1, tail_order + 1):
-        zprime += ((-1.0) ** j / j) * ratio ** j * hurwitz_zeta_em(2 * j, a)
+    # at mu = 0 the binomial terms all carry ratio = 0 and the tail is exact
+    analytic_tail = 0.0
     if mu > 0:
+        # binomial expansion parameter against (c n + d)^2
+        ratio = (mu / c) ** 2
+        for j in range(1, tail_order + 1):
+            zprime += (((-1.0) ** j / j) * ratio ** j
+                       * hurwitz_zeta_em(2 * j, a))
         analytic_tail = abs(
             ratio ** (tail_order + 1) / (tail_order + 1)
             * hurwitz_zeta_em(2 * tail_order + 2, a)
         )
-    else:
-        analytic_tail = 0.0
     return (fam.mult * zeta0, fam.mult * zprime, fam.mult * analytic_tail,
             logs)
 
@@ -227,11 +203,12 @@ def zeta_from_sequence(seq: EigenvalueSeq, cutoff: int = 10_000,
     Truncated eigenvalue sum below `cutoff` indices per family plus the
     analytic tail of order `tail_order`.  Each distinct family is evaluated
     once and scaled by how often it occurs (zeta is additive); its partial
-    sum of log lambda_n is an error-free pairwise sum in numpy, which
-    rounds only at second order (see _exact_sum).  The rounding-noise
-    allowance is left to zetaglue.oracles.tail_residual_bound.
-    Deterministic for fixed inputs.  Raises TailNotConverged when the analytic tail (the part the
-    cutoff controls) exceeds tail_tol.
+    sum of log lambda_n is a correctly rounded math.fsum.  At mu = 0 the
+    tail is exact at any cutoff, so a larger cutoff only adds rounding.
+    The rounding-noise allowance is left to
+    zetaglue.oracles.tail_residual_bound.  Deterministic for fixed inputs.
+    Raises TailNotConverged when the analytic tail (the part the cutoff
+    controls) exceeds tail_tol.
     """
     if cutoff < 100:
         raise ValueError("cutoff must be >= 100")

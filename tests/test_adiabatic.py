@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -499,6 +500,23 @@ class TestGeneralizedInstances:
             assert abs(math.exp(logdet_closed(g, fib).log_bfk_ratio)
                        - 0.0625) < 1e-12
             assert verify_theorem_main(sweep(g, fib)).passed
+
+
+def test_subnormal_holonomy_fails_condition_A():
+    # sin(theta/2) of the smallest subnormal rounds to 0: every sweep row
+    # failed with a numpy divide-by-zero warning, and predicted_main_limit
+    # raised a bare "math domain error"
+    fib = FiberSpectrum.finite([(0.0, 1), (1.0, 1)])
+    g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(5e-324,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (sweep, predicted_main_limit):
+            with pytest.raises(ConditionAViolation,
+                               match="underflows sin.theta/2. to 0"):
+                call(g, fib)
+        g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(1e-320,))
+        assert not any(row.failed for row in sweep(g, fib).rows)
+        assert predicted_main_limit(g, fib) == 0.0
 
 
 def test_sweep_row_failure_is_marked():

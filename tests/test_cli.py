@@ -354,6 +354,17 @@ class TestRun:
         assert len(xy[3].split()) == 2
 
 
+def test_subnormal_holonomy_names_condition_A(tmp_path, capsys):
+    geometry = dict(STD_CONFIG["geometry"], holonomy=[5e-324])
+    cfg = dict(STD_CONFIG, geometry=geometry, out_dir=str(tmp_path / "out"))
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 3
+    assert capsys.readouterr().err == (
+        "zetaglue: numeric failure: zero mode 0: holonomy phase 5e-324 "
+        "underflows sin(theta/2) to 0, a flat circle mode\n")
+    cfg["geometry"] = dict(geometry, holonomy=[1e-320])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+
+
 def test_trace_perp_underflow_fails_a_named_gate(tmp_path, capsys):
     # past R of about 180 the difference underflows to 0.0, whose log ended
     # the job with "numeric failure: math domain error"

@@ -1,7 +1,6 @@
 import math
 
 import mpmath
-import numpy as np
 import pytest
 
 from zetaglue.oracles import (
@@ -22,7 +21,6 @@ from zetaglue.spectral_core import (
     FiberSpectrum,
     TailNotConverged,
     ZetaData,
-    _exact_sum,
     fiber_scaled_sqrt_logdet,
     fiber_sqrt_zeta_at_minus_one,
     fiber_sqrt_zeta_data,
@@ -31,10 +29,16 @@ from zetaglue.spectral_core import (
     zeta_from_sequence,
 )
 from zetaglue.glue import GlueGeometry
-from zetaglue.scattering import model_identities_over
+from zetaglue.scattering import (
+    TWO_PI,
+    _model_families,
+    model_identities_over,
+    model_logdet,
+    model_zeta_single_phase,
+)
 
 try:
-    from hypothesis import assume, given, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
 except ImportError:  # the property tests at the end need hypothesis
     given = None
 
@@ -332,48 +336,22 @@ def test_zeta_data_invariant():
 
 
 # ---------------------------------------------------------------------------
-# Exact log-sum and the distinct-tower walk of zeta_from_sequence
+# The model-tower oracle and the distinct-tower walk of zeta_from_sequence
 # ---------------------------------------------------------------------------
 
-EPS = 2.0 ** -53
-
-
-def _sum_terms(rng, n, kind):
-    """n terms of one kind: a log tower, mixed signs over six decades,
-    near-cancelling pairs (x, -x (1 + 1e-15 g)), Cauchy draws, or exactly
-    cancelling pairs over twenty decades plus one small term."""
-    if kind == "tower":
-        roots = rng.uniform(0.5, 4.0) * np.arange(n) + rng.uniform(0.1, 3.0)
-        return np.log(roots ** 2 + rng.uniform(0.0, 3.0))
-    if kind == "mixed":
-        return (rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
-                * 10.0 ** rng.integers(-3, 4, n))
-    if kind == "cauchy":
-        return rng.standard_cauchy(n)
-    decades = (-3, 4) if kind == "near" else (-8, 12)
-    m = n // 2 + 1
-    y = rng.standard_normal(m) * 10.0 ** rng.integers(*decades, m)
-    if kind == "near":
-        pair = -y * (1.0 + 1e-15 * rng.standard_normal(y.size))
-        x = np.concatenate([y, pair])[:n]
-    else:
-        x = np.concatenate([y, -y, [1e-3 * rng.standard_normal()]])[:n]
-    rng.shuffle(x)
-    return x
-
-
 # (h0, theta) -> (numeric_gap_quarter, numeric_gap_cbar), computed with one
-# math.fsum per occurrence of a family; the holonomy repeats theta h0 times
+# math.fsum of math.log terms per occurrence of a family at cutoff 100; the
+# holonomy repeats theta h0 times
 MODEL_GAPS_FSUM = {
-    (1, math.pi / 3): (5.820721682425756e-11, 6.479394798475369e-11),
-    (1, math.pi / 2): (3.239675194777192e-11, 6.479394798475369e-11),
-    (1, math.pi): (6.586287071286279e-12, 6.479394798475369e-11),
-    (2, math.pi / 3): (1.1641443364851511e-10, 1.2958789596950737e-10),
-    (2, math.pi / 2): (6.479350389554384e-11, 1.2958789596950737e-10),
-    (2, math.pi): (1.3172574142572557e-11, 1.2958789596950737e-10),
-    (3, math.pi / 3): (1.7462165047277267e-10, 1.943813998650512e-10),
-    (3, math.pi / 2): (9.71898117541059e-11, 1.943813998650512e-10),
-    (3, math.pi): (1.9758417124648986e-11, 1.943813998650512e-10),
+    (1, math.pi / 3): (2.26929586233382e-13, 2.19824158875781e-13),
+    (1, math.pi / 2): (4.5075054799781356e-13, 2.19824158875781e-13),
+    (1, math.pi): (2.19824158875781e-13, 2.19824158875781e-13),
+    (2, math.pi / 3): (4.53859172466764e-13, 4.39648317751562e-13),
+    (2, math.pi / 2): (9.015010959956271e-13, 4.39648317751562e-13),
+    (2, math.pi): (4.39648317751562e-13, 4.39648317751562e-13),
+    (3, math.pi / 3): (6.80788758700146e-13, 6.590283874174929e-13),
+    (3, math.pi / 2): (1.3518075547835906e-12, 6.590283874174929e-13),
+    (3, math.pi): (6.590283874174929e-13, 6.590283874174929e-13),
 }
 
 
@@ -387,6 +365,28 @@ def test_model_identities_gaps_unchanged(key):
     for got, ref in zip((rep.numeric_gap_quarter, rep.numeric_gap_cbar),
                         MODEL_GAPS_FSUM[key]):
         assert abs(got - ref) <= 2 * math.ulp(8.0 * h0)
+
+
+EPS = 2.0 ** -52
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, math.pi / 2, 3.0, TWO_PI - 1e-3])
+@pytest.mark.parametrize("quarter", [False, True])
+def test_model_tower_zeta_is_cutoff_free(alpha, quarter):
+    # at mu = 0 the lgamma tail is exact, so the cutoff moves (zeta(0),
+    # zeta'(0)) only by rounding: the cancelling terms are each about
+    # 2 a log a at a = cutoff + d/c (worst seen 3.6 eps a log a over 600
+    # model towers)
+    for fam in _model_families(alpha, quarter):
+        seq = EigenvalueSeq((fam,))
+        a = 10_000 + fam.offset / fam.slope
+        floor = 8.0 * EPS * a * math.log(a)
+        ref = zeta_from_sequence(seq, cutoff=100)
+        for cutoff in (1000, 10_000):
+            got = zeta_from_sequence(seq, cutoff=cutoff)
+            for x, y in ((got.zeta_at_zero, ref.zeta_at_zero),
+                         (got.zeta_prime_at_zero, ref.zeta_prime_at_zero)):
+                assert abs(x - y) <= floor
 
 
 # tail_residual_bound with the noise allowance summed by math.fsum
@@ -409,34 +409,19 @@ def test_tail_residual_bound_unchanged(seq, cutoff, ref):
     assert abs(tail_residual_bound(seq, cutoff=cutoff) - ref) <= 1e-12 * ref
 
 
-def test_exact_sum_edge_sizes():
-    assert _exact_sum(np.array([])) == 0.0
-    assert _exact_sum(np.array([2.5])) == 2.5
-    x = np.array([1e16, 1.0, -1e16, 1.0])
-    assert _exact_sum(x) == math.fsum(x.tolist()) == 2.0
-    with np.errstate(invalid="ignore"):   # the cascade meets inf - inf
-        assert _exact_sum(np.array([1.0, -math.inf, 3.0])) == -math.inf
-
-
 if given is not None:
-    SUM_KINDS = ("tower", "mixed", "near", "cauchy")
-
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20000),
-           st.sampled_from(SUM_KINDS))
-    def test_exact_sum_matches_fsum(seed, n, kind):
-        # worst seen over 8000 arrays of these kinds, 1-20000 terms: 0 ulps
-        x = _sum_terms(np.random.default_rng(seed), n, kind)
-        ref = math.fsum(x.tolist())
-        assert abs(_exact_sum(x) - ref) <= math.ulp(ref)
-
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 20000))
-    def test_exact_sum_bound_under_cancellation(seed, n):
-        # the level sums round at second order; exact cancellation over
-        # twenty decades shows it (worst seen 3e5 ulps, 0.003 of the bound)
-        x = _sum_terms(np.random.default_rng(seed), n, "exact")
-        ref = math.fsum(x.tolist())
-        bound = math.ulp(ref) + n * EPS ** 2 * float(np.abs(x).sum())
-        assert abs(_exact_sum(x) - ref) <= bound
+    # within about 1e-6 of 0 or 2 pi the gaps grow like eps / theta, from
+    # the rounding of 2 pi - theta in the phase
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 3), st.floats(1e-3, TWO_PI - 1e-3))
+    def test_model_numeric_gaps_small(h0, theta):
+        geom = GlueGeometry(1.0, 2.0, 10.0, holonomy=(theta,) * h0)
+        (rep,) = model_identities_over(
+            (geom,), FiberSpectrum.finite([(0.0, h0), (1.0, 1)]))
+        single = abs(model_zeta_single_phase(theta).log_det
+                     - model_logdet([theta]))
+        assert max(rep.numeric_gap_quarter, rep.numeric_gap_cbar,
+                   single) <= 1e-11
 
     @given(st.floats(0.1, 5.0), st.floats(0.0, 3.0), st.integers(0, 2),
            st.floats(0.0, 3.0), st.integers(1, 4))
