@@ -15,8 +15,8 @@ asserted rather than assumed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,16 +75,13 @@ class SweepResult:
     fiber: FiberSpectrum
     geom_template: GlueGeometry
 
-    @cached_property
-    def _computed(self) -> tuple[SweepRow, ...]:
-        return tuple(r for r in self.rows if not r.failed)
-
-    @cached_property
+    @property
     def Rs(self) -> tuple[float, ...]:
         return self.column("R")
 
     def column(self, name: str) -> tuple[float, ...]:
-        return tuple(getattr(r, name) for r in self._computed)
+        """The column over the rows that did not fail."""
+        return tuple(getattr(r, name) for r in self.rows if not r.failed)
 
 
 def sweep(geom_template: GlueGeometry, fiber: FiberSpectrum,
@@ -92,22 +89,18 @@ def sweep(geom_template: GlueGeometry, fiber: FiberSpectrum,
     """Fill the determinant columns over a stretch grid, in grid order.
 
     All stretches are evaluated together by logdet_grid: one array pass
-    for a finite fiber, one pass per stretch for a circle fiber.  The rows
-    come straight off its total columns.
+    for a finite fiber, one pass per stretch for a circle fiber.  Rows fail
+    only where it failed a stretch; their linear columns come from the logs.
     """
     grid = logdet_grid(geom_template, fiber, sorted(map(float, R_grid)))
-    rows = []
+    rows, h = [], grid.h_Y
     for R, M, M1, M2, D, error in zip(grid.Rs, *grid.totals, grid.errors):
-        try:
-            if error is not None:
-                raise error
-            scale, log_ratio = R ** grid.h_Y, M - M1 - M2
-            rows.append(SweepRow(R, M, M1, M2, D, scale * math.exp(log_ratio),
-                                 scale * math.exp(D), math.exp(log_ratio - D)))
-        except Exception as exc:  # row marked failed, sweep continues
-            rows.append(SweepRow(R, *[math.nan] * 7, failed=True,
-                                 error=str(exc)))
-    return SweepResult(tuple(rows), grid.h_Y, fiber, geom_template)
+        lr = M - M1 - M2
+        rows.append(SweepRow(R, *[math.nan] * 7, failed=True, error=str(error))
+                    if error is not None else
+                    SweepRow(R, M, M1, M2, D, _scaled_exp(lr, R, h),
+                             _scaled_exp(D, R, h), _scaled_exp(lr - D)))
+    return SweepResult(tuple(rows), h, fiber, geom_template)
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +112,13 @@ class FitReport:
     """Extrapolated limit with fit diagnostics.
 
     The limit comes from polynomial extrapolation in 1/R on the full grid;
-    coeffs hold the least-squares c0 + c1/R + c2/R^2 model, whose residual
-    norm and per-point deviations are reported, with the limit uncertainty
-    bounded by |c1|/R_max + |c2|/R_max^2.
+    coeffs hold the least-squares c0 + c1/R + c2/R^2 model, reported with
+    its residual norm and the uncertainty bound |c1|/R_max + |c2|/R_max^2.
     """
 
     limit: float
     coeffs: tuple[float, float, float]
     residual_norm: float
-    deviations: tuple[float, ...]
     uncertainty: float
     convergence_exponent: float
 
@@ -151,18 +142,17 @@ def extrapolate(Rs, vals) -> FitReport:
 
     V = np.vstack([np.ones_like(x), x, x * x]).T
     coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    devs = vals - V @ coeffs
-    r_max = float(Rs.max())
-    uncertainty = abs(coeffs[1]) / r_max + abs(coeffs[2]) / r_max ** 2
 
     scale = max(abs(limit), 1e-300)
     mask = np.abs(vals - limit) > 1e3 * np.finfo(float).eps * scale
     exponent = (-float(np.polyfit(np.log(Rs[mask]),
                                   np.log(np.abs(vals[mask] - limit)), 1)[0])
                 if mask.sum() >= 2 else math.nan)
+    r_max = float(Rs.max())
     return FitReport(float(limit), tuple(map(float, coeffs)),
-                     float(np.linalg.norm(devs)), tuple(map(float, devs)),
-                     float(uncertainty), exponent)
+                     float(np.linalg.norm(vals - V @ coeffs)),
+                     float(abs(coeffs[1]) / r_max + abs(coeffs[2]) / r_max ** 2),
+                     exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +174,15 @@ def _exp(x: float, exp=math.exp) -> float:
         return exp(x)
     except OverflowError:
         return math.inf
+
+
+def _scaled_exp(x: float, R: float = 1.0, h: int = 0) -> float:
+    """R^h e^x as R ** h * math.exp(x), or from its log where a factor
+    overflows: inf past the float range, 0.0 below it."""
+    try:
+        return R ** h * math.exp(x)
+    except OverflowError:
+        return _exp(h * math.log(R) + x)
 
 
 def _log_main_limit(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
@@ -247,12 +246,18 @@ class TheoremCheck:
 
 def _theorem_check(result: SweepResult, column: str, predicted: float,
                    tol: float) -> TheoremCheck:
-    """Extrapolate one sweep column and compare it with its predicted limit;
-    fails when any row failed, and has no fit when fewer than 3 are left."""
-    failed = tuple((r.R, r.error) for r in result.rows if r.failed)
-    if len(result.Rs) < 3:
+    """Extrapolate one sweep column's finite values and compare them with
+    the predicted limit; a failed row, or one whose value is past the float
+    range, fails the check, which has no fit when fewer than 3 are left."""
+    failed = tuple((r.R, r.error if r.failed else
+                    f"{column} is past the float range") for r in result.rows
+                   if r.failed or not math.isfinite(getattr(r, column)))
+    points = [(R, v) for R, v in zip(result.Rs, result.column(column))
+              if math.isfinite(v)]
+    if len(points) < 3:
         return TheoremCheck(None, predicted, False, math.nan, False, failed)
-    fit = extrapolate(result.Rs, result.column(column))
+    with np.errstate(over="ignore"):   # the fit may meet values near 1e300
+        fit = extrapolate(*zip(*points))
     gap = abs(fit.limit - predicted)
     return TheoremCheck(fit, predicted, gap <= tol and not failed, gap,
                         0.8 <= fit.convergence_exponent <= 1.2, failed)
@@ -292,7 +297,8 @@ def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck
     log det M2 - log det R, so the check never divides by a constant that
     underflowed.
     """
-    log_predicted = _bfk_exponent(result.fiber) * math.log(2.0)
+    exponent = _bfk_exponent(result.fiber)
+    log_predicted = exponent * math.log(2.0)
     rel_devs, ratios, failed, worst = [], [], [], 0.0
     for r in result.rows:
         dev = abs(_exp((r.log_det_M - r.log_det_M1 - r.log_det_M2
@@ -305,7 +311,7 @@ def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck
             if dev > worst:
                 worst = dev
     passed = bool(ratios) and not failed and worst <= rel_tol
-    return BfkCheck(predicted_bfk_constant(result.fiber), log_predicted,
+    return BfkCheck(2.0 ** exponent, log_predicted,
                     worst, passed, tuple(ratios), tuple(rel_devs),
                     tuple(failed))
 
@@ -331,18 +337,18 @@ def _image_pref(t: float) -> float:
 
 
 class _TwistGroups:
-    """The fiber modes, zero modes included, grouped by twist theta.
+    """The fiber modes by twist: the zero modes' distinct holonomies with
+    their counts, and the nonzero modes as one untwisted tower.
 
     Each per-mode 1-D heat trace factors exactly as K(theta, mu, t) =
     e^{-t mu^2} K(theta, 0, t), in the direct and in the image branch, so a
     mode sum is one mu = 0 trace per distinct twist times the Gaussian
-    weight W_theta(t) = sum mult e^{-t mu^2} over that twist's modes.  The
-    twists are the zero-mode holonomies and 0, which every nonzero mode
-    carries.  The table is built once for the smallest t a caller asks for:
-    a circle fiber's table runs through the last mode either cut keeps
-    there, and both cuts keep fewer modes at larger t.  Only the
-    stretch-free parts of the geometry are read, so one table serves every
-    stretch.
+    weight W_theta(t) = sum mult e^{-t mu^2} over that twist's modes: the
+    zero-mode count for a holonomy, and the tower's weight for twist 0.
+    The tower is built once for the smallest t a caller asks for: a circle
+    fiber's runs through the last mode either cut keeps there, and both
+    cuts keep fewer modes at larger t.  Only the stretch-free parts of the
+    geometry are read, so one table serves every stretch.
     """
 
     def __init__(self, geom: GlueGeometry, fiber: FiberSpectrum, t_min: float):
@@ -353,20 +359,15 @@ class _TwistGroups:
                                + _image_pref(t_min)) / t_min)
         mu, mult = mode_table(fiber, _modes_through(fiber, mu_max))
         h0 = len(geom.holonomy)
-        # table order: zero modes first, then spectral order; mu^2 ascends
         self.t_min, self.fiber = t_min, fiber
-        self.mu = np.concatenate([np.zeros(h0), mu])
-        self.mu2 = self.mu * self.mu
-        mult = self.mult = np.concatenate([np.ones(h0), mult])
-        self.log_mult = np.log(mult)
+        self.holonomies = sorted(Counter(geom.holonomy).items())
+        # the tower in spectral order, so mu^2 ascends
+        self.mu2, self.tower_mult = mu * mu, mult.astype(float)
+        self.log_mult = np.log(self.tower_mult)
         self.max_log_mult = float(self.log_mult.max(initial=0.0))
-        theta = np.concatenate([np.array(geom.holonomy, dtype=float),
-                                np.zeros(len(mu))])
-        self.groups = []   # (theta, table indices, mu^2, mult, log mult)
-        for th in np.unique(theta):
-            idx = np.flatnonzero(theta == th)
-            self.groups.append((float(th), idx, self.mu2[idx], mult[idx],
-                                self.log_mult[idx]))
+        # zero modes first, then the tower, for half_fiber_trace
+        self.mu = np.concatenate([np.zeros(h0), mu])
+        self.mult = np.concatenate([np.ones(h0), mult])
 
     def _check(self, t: float) -> None:
         if t < self.t_min:
@@ -375,19 +376,18 @@ class _TwistGroups:
 
     def relative_trace(self, geom: GlueGeometry, t: np.ndarray) -> np.ndarray:
         """sum over twists of W_theta(t) (K_C(theta) - K_L1 - K_L2) at every
-        t of an array, on the mu = 0 array kernels; each group's modes are
-        cut once, at t mu^2 <= 745 for the array's smallest t."""
+        t of an array, on the mu = 0 array kernels, twist 0 first; the tower
+        is cut once, at t mu^2 <= 745 for the array's smallest t."""
         t = np.asarray(t, dtype=float)
         t_lo = float(t.min())
         self._check(t_lo)
         k_1, k_2 = (_heat_trace_dirichlet_mu0(L, t) for L in (geom.L1, geom.L2))
+        n = int(np.searchsorted(self.mu2, _EXP_FLOOR / t_lo, side="right"))
+        tower = _exp_neg(t[:, None] * self.mu2[:n]) @ self.tower_mult[:n]
         total = np.zeros_like(t)
-        for theta, _, mu2, mult, _ in self.groups:
-            n = int(np.searchsorted(mu2, _EXP_FLOOR / t_lo, side="right"))
-            if n:
-                weight = _exp_neg(t[:, None] * mu2[:n]) @ mult[:n]
-                total += weight * (_heat_trace_circle_mu0(geom.C, theta, t)
-                                   - k_1 - k_2)
+        for theta, weight in ([(0.0, tower)] if n else []) + self.holonomies:
+            total += weight * (_heat_trace_circle_mu0(geom.C, theta, t)
+                               - k_1 - k_2)
         return total
 
     def half_fiber_trace(self, t: np.ndarray) -> np.ndarray:
@@ -406,31 +406,31 @@ class _TwistGroups:
         """(log|deviation|, sign): image-term form of relative trace minus
         the half cross-section trace, safe far below float underflow.
 
-        Per twist group the log-weight base = log(2 W_theta(t) / sqrt(4 pi
-        t)) is a log-sum-exp over the group's modes, taken in table order up
-        to the first mode whose own base falls below -1500; the image orders
-        m then run once per group, up to 64, until every image exponent
-        exceeds 1540 - base.  All entries go into one signed fsum; an exact
-        zero reads as 1e-18 of the largest entry.
+        Per twist the log-weight base = log(2 W_theta(t) / sqrt(4 pi t)); the
+        tower's is a log-sum-exp taken in mode order up to the first mode
+        whose own base falls below -1500.  The image orders m then run once
+        per twist, up to 64, until every image exponent exceeds 1540 - base.
+        All entries go into one signed fsum; an exact zero reads as 1e-18 of
+        the largest entry.
         """
         self._check(t)
         L1, L2, C = geom.L1, geom.L2, geom.C
         pref = _image_pref(t)
-        # modes in table order before the first whose base is below the cut;
-        # every mode from `hi` on is below it by at least 1
+        # tower modes before the first whose base is below the cut; every
+        # mode from `hi` on is below it by at least 1
         hi = int(np.searchsorted(
             self.mu2, (pref + self.max_log_mult - _LOG_CUT + 1.0) / t,
             side="right"))
-        below = self.log_mult[:hi] - t * self.mu2[:hi] + pref < _LOG_CUT
-        end = int(np.argmax(below)) if below.any() else hi
-        entries: list[tuple[float, float]] = []  # (log|term|, sign)
-        for theta, idx, mu2, _, log_mult in self.groups:
-            n = int(np.searchsorted(idx, end))
-            if not n:
-                continue
-            logs = log_mult[:n] - t * mu2[:n]
+        logs = self.log_mult[:hi] - t * self.mu2[:hi]
+        below = logs + pref < _LOG_CUT
+        logs = logs[:int(np.argmax(below))] if below.any() else logs
+        bases = [(th, pref + math.log(k)) for th, k in self.holonomies]
+        if logs.size:
             top = float(logs.max())
-            base = pref + top + math.log(float(np.exp(logs - top).sum()))
+            bases.insert(0, (0.0, pref + top
+                             + math.log(float(np.exp(logs - top).sum()))))
+        entries: list[tuple[float, float]] = []  # (log|term|, sign)
+        for theta, base in bases:
             for m in range(1, 65):
                 ex_c = m * m * C * C / (4.0 * t)
                 ex_1 = m * m * L1 * L1 / t

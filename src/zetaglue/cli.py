@@ -272,24 +272,32 @@ def _run_theorem_dn(cfg, geom, fiber):
     return cols, rows, summary, gates, xy
 
 
+def _per_stretch(cfg, geom, fiber, evaluate):
+    """({R: evaluate(geom at R, fiber)} over the grid, [[R, error]]): a
+    stretch that raises a ValueError is a failed row, and the grid goes on."""
+    values, failed = {}, []
+    for R in cfg["r_grid"]:
+        try:
+            values[R] = evaluate(geom.with_R(R), fiber)
+        except ValueError as exc:
+            failed.append([R, str(exc)])
+    return values, failed
+
+
 def _run_svalues(cfg, geom, fiber):
     kappa, grid = cfg["kappa"], cfg["r_grid"]
     # a zero holonomy phase fails every stretch alike: ends the job, as in sweep
     condition_A_check(geom, fiber).raise_if_failed()
-    rows, reports, quant_worst, failed = [], {}, {}, []
-    for R in grid:
-        try:
-            reports[R] = {w: svalue_report(w, geom.with_R(R), fiber, kappa)
-                          for w in ("M", "M1", "M2")}
-        except ValueError as exc:   # row failed, the grid goes on
-            failed.append([R, str(exc)])
-            continue
-        for which, rep in reports[R].items():
+    reports, failed = _per_stretch(cfg, geom, fiber, lambda g, f: {
+        w: svalue_report(w, g, f, kappa) for w in ("M", "M1", "M2")})
+    rows, quant_worst = [], {}
+    for R, reps in reports.items():
+        for which, rep in reps.items():
             rows.extend([R, which, *pair] for pair in rep.pairs)
         # piece quantization |2 R lambda - k pi| <= c R^{-kappa}
         quant_worst[R] = max(
             (abs(2 * R * lam - round(2 * R * lam / math.pi) * math.pi)
-             for w in ("M1", "M2") for lam, *_ in reports[R][w].pairs),
+             for w in ("M1", "M2") for lam, *_ in reps[w].pairs),
             default=0.0)
     cols = ["R", "operator", "lambda", "scaled_value", "model_value",
             "residual"]
@@ -321,14 +329,9 @@ def _run_svalues(cfg, geom, fiber):
 def _run_dn_asymptotics(cfg, geom, fiber):
     # a zero holonomy phase fails every stretch alike: ends the job, as in sweep
     condition_A_check(geom, fiber).raise_if_failed()
-    rows, failed = [], []
-    worst_match, worst_plus = 0.0, 0.0
-    for R in cfg["r_grid"]:
-        try:
-            rep = dn_zero_mode_asymptotics(geom.with_R(R), fiber)
-        except ValueError as exc:   # row failed, the grid goes on
-            failed.append([R, str(exc)])
-            continue
+    reports, failed = _per_stretch(cfg, geom, fiber, dn_zero_mode_asymptotics)
+    rows, worst_match, worst_plus = [], 0.0, 0.0
+    for R, rep in reports.items():
         for e in rep.entries:
             err = abs(e.value_minus - e.model_matched)
             rows.append([R, e.piece, e.mode, e.value_minus, e.model_matched,
@@ -363,12 +366,8 @@ def _run_heat_cancellation(cfg, geom, fiber):
 
 
 def _run_trace_perp(cfg, geom, fiber):
-    rows, failed = [], []
-    for R in cfg["r_grid"]:
-        try:
-            rows.append([R, trace_perp_inverse_diff(geom.with_R(R), fiber)])
-        except ValueError as exc:   # row failed, the grid goes on
-            failed.append([R, str(exc)])
+    diffs, failed = _per_stretch(cfg, geom, fiber, trace_perp_inverse_diff)
+    rows = [[R, diff] for R, diff in diffs.items()]
     # fitted to the rows whose difference did not underflow to 0.0
     logs = [(R, math.log(abs(diff))) for R, diff in rows if diff != 0.0]
     slope = (float(np.polyfit(*zip(*logs), 1)[0]) if len(logs) >= 2

@@ -556,16 +556,20 @@ def test_wide_circle_sweep_holds_the_gluing_constant(circumference, bound):
     assert check.max_rel_dev <= bound
 
 
-def test_bfk_fails_when_rows_fail():
-    # 601 nonzero modes: exp(log det R) overflows on every row
+def test_bfk_holds_where_the_linear_columns_leave_the_float_range():
+    # 601 nonzero modes: det R is past the float range on every row and the
+    # bfk ratio below it, while the logs hold the gluing constant
     wide = FiberSpectrum.finite([(0.0, 1)]
                                 + [(0.5 + 0.005 * k, 1) for k in range(601)])
     g = GlueGeometry(1.0, 2.0, 1.0, holonomy=(math.pi / 2,))
     grid = (2.0, 4.0, 8.0, 16.0, 32.0)
-    check = verify_bfk_corollary(sweep(g, wide, grid))
-    assert not check.passed
-    assert check.per_row == ()
-    assert check.failed_rows == tuple((R, "math range error") for R in grid)
+    result = sweep(g, wide, grid)
+    check = verify_bfk_corollary(result)
+    assert check.passed and check.failed_rows == ()
+    assert check.max_rel_dev <= 1e-9
+    assert all(math.isfinite(r.log_det_R) for r in result.rows)
+    assert [r.scaled_det_R for r in result.rows] == [math.inf] * len(grid)
+    assert check.per_row == (0.0,) * len(grid)
 
 
 def test_bfk_fails_on_one_failed_row(std_fiber, std_geom):

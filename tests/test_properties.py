@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+mpmath = pytest.importorskip("mpmath")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from zetaglue.adiabatic import (  # noqa: E402
     _TwistGroups,
@@ -183,10 +184,21 @@ def sweeps(draw):
     return fiber, geom, grid + huge
 
 
+def _linear(x, R=1.0, h=0):
+    """(R^h e^x, exact): R ** h * math.exp(x) where both factors are in the
+    float range, exact; else mpmath's value rounded to a float, inf past the
+    float range and 0.0 below it."""
+    try:
+        return R ** h * math.exp(x), True
+    except OverflowError:
+        return float(mpmath.mpf(R) ** h * mpmath.exp(x)), False
+
+
 def _closed_row(geom, fiber, R):
-    """(row values, "") of the sweep row at R, taken from logdet_closed by a
-    row's steps, or (None, error).  Past 4.5e307 the geometry itself
-    overflows, and the one-stretch grid that logdet_closed reads is used."""
+    """(row values, "") of the sweep row at R, taken from logdet_closed, its
+    linear columns as _linear pairs, or (None, error).  Past 4.5e307 the
+    geometry itself overflows, and the one-stretch grid that logdet_closed
+    reads is used."""
     try:
         asm = logdet_closed(geom.with_R(R), fiber)
     except ValueError as exc:
@@ -194,17 +206,21 @@ def _closed_row(geom, fiber, R):
             exc) else exc
     if isinstance(asm, Exception):
         return None, str(asm)
-    try:
-        scale = R ** (2 * fiber.h0)
-        return (R, *_logs(asm), scale * math.exp(asm.log_ratio),
-                scale * math.exp(asm.log_det_R),
-                math.exp(asm.log_bfk_ratio)), ""
-    except OverflowError as exc:
-        return None, str(exc)
+    h = 2 * fiber.h0
+    return (R, *_logs(asm), _linear(asm.log_ratio, R, h),
+            _linear(asm.log_det_R, R, h), _linear(asm.log_bfk_ratio)), ""
+
+
+# two zero modes at R = 1e100: R^4 overflows while the logs are finite, and
+# scaled_det_R is about 37
+_R4_OVERFLOWS = (FiberSpectrum.finite([(0.0, 2), (0.7, 1), (1.3, 2)]),
+                 GlueGeometry(1.0, 2.0, 1.0, holonomy=(1.5, 2.5)),
+                 [1.0, 10.0, 1e100])
 
 
 @settings(max_examples=25, deadline=None)
 @given(sweeps())
+@example(_R4_OVERFLOWS)
 def test_sweep_rows_are_logdet_closed(inst):
     fiber, geom, grid = inst
     with warnings.catch_warnings():
@@ -215,12 +231,18 @@ def test_sweep_rows_are_logdet_closed(inst):
         for row in result.rows:
             values, error = _closed_row(geom, fiber, row.R)
             assert row.failed == (values is None) and row.error == error
-            if values is not None:   # bit for bit
-                assert [x.hex() for x in values] == [
-                    x.hex() for x in (row.R, row.log_det_M, row.log_det_M1,
-                                      row.log_det_M2, row.log_det_R,
-                                      row.scaled_ratio, row.scaled_det_R,
-                                      row.bfk_ratio)]
+            if values is None:
+                continue
+            # the logs bit for bit, and each linear column where both of
+            # its factors are in the float range; elsewhere it comes from
+            # the log, whose sum h log R + x rounds to (h + 1) 710 eps
+            assert [x.hex() for x in values[:5]] == [
+                x.hex() for x in (row.R, row.log_det_M, row.log_det_M1,
+                                  row.log_det_M2, row.log_det_R)]
+            for (ref, exact), x in zip(values[5:], (
+                    row.scaled_ratio, row.scaled_det_R, row.bfk_ratio)):
+                assert (x.hex() == ref.hex() if exact else
+                        math.isclose(x, ref, rel_tol=2e-12, abs_tol=1e-300))
     for row, dev in zip(result.rows, check.rel_devs, strict=True):
         gap = (row.log_det_M - row.log_det_M1 - row.log_det_M2
                - row.log_det_R) - check.log_predicted
