@@ -6,7 +6,7 @@ Library layout:
     base1d        -- array closed forms of the 1-D circle/interval problems
     glue          -- assembled geometry, determinants, boundary operator
     scattering    -- scattering matrices, model operators, small eigenvalues
-    adiabatic     -- stretch sweeps, limit extraction, verification suites
+    adiabatic     -- stretch sweeps, limit checks, verification suites
     cli           -- configuration-driven experiment runner
     oracles       -- independent numerical oracles, the 1-D mode problems,
                      and the scalar closed forms and heat traces that
@@ -46,7 +46,6 @@ from .scattering import (
     svalues_exact,
 )
 from .adiabatic import (
-    FitReport,
     SweepResult,
     predicted_bfk_constant,
     predicted_dn_limit,

@@ -1,27 +1,26 @@
-"""Stretch sweeps: both sides of the limit theorems, extracted limits,
-the per-stretch gluing constant, and the heat-trace cancellation checks.
+"""Stretch sweeps: both sides of the limit theorems, checked per row, the
+per-stretch gluing constant, and the heat-trace cancellation checks.
 
-A sweep evaluates the assembled determinants on a geometric grid of
-stretches.  Limits are extracted by polynomial extrapolation in 1/R
-(Neville/Richardson on the grid); a least-squares fit of
-c0 + c1/R + c2/R^2 is reported alongside for diagnostics and for the
-uncertainty bound.  Predictions for the limits are assembled, in logs,
-from the fiber zeta data and the closed form prod sin^2(theta_j/2) of
-det((Id - U)/2) for the composite scattering matrix U at 0, and the three
-predicted quantities satisfy an exact algebraic triangle that is
-asserted rather than assumed.
+A sweep evaluates the assembled determinants on a grid of stretches.  The
+limits are checked per row, in logs: each zero mode adds exactly
+log(4 R^2 / (L1 L2)) to a scaled column past its limit, and the nonzero
+modes' exponentially small rest is bounded a priori.  Predictions for the
+limits are assembled, in logs, from the fiber zeta data and the closed form
+prod sin^2(theta_j/2) of det((Id - U)/2) for the composite scattering
+matrix U at 0, and the three predicted quantities satisfy an exact
+algebraic triangle that is asserted rather than assumed.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .glue import (GlueGeometry, condition_A_check, logdet_closed, logdet_grid,
-                   mode_table)
+from .glue import (DeterminantGrid, GlueGeometry, condition_A_check,
+                   logdet_closed, logdet_grid, mode_table)
 from .scattering import model_logdet, model_logdet_star
 from .spectral_core import (
     EULER_GAMMA,
@@ -38,9 +37,7 @@ from .spectral_core import (
 __all__ = [
     "SweepRow",
     "SweepResult",
-    "FitReport",
     "sweep",
-    "extrapolate",
     "predicted_main_limit",
     "predicted_dn_limit",
     "predicted_bfk_constant",
@@ -74,6 +71,8 @@ class SweepResult:
     h_Y: int
     fiber: FiberSpectrum
     geom_template: GlueGeometry
+    # the columns the rows come from, with their per-mode logs
+    grid: DeterminantGrid = field(repr=False, compare=False)
 
     @property
     def Rs(self) -> tuple[float, ...]:
@@ -100,59 +99,7 @@ def sweep(geom_template: GlueGeometry, fiber: FiberSpectrum,
                     if error is not None else
                     SweepRow(R, M, M1, M2, D, _scaled_exp(lr, R, h),
                              _scaled_exp(D, R, h), _scaled_exp(lr - D)))
-    return SweepResult(tuple(rows), h, fiber, geom_template)
-
-
-# ---------------------------------------------------------------------------
-# Extrapolation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FitReport:
-    """Extrapolated limit with fit diagnostics.
-
-    The limit comes from polynomial extrapolation in 1/R on the full grid;
-    coeffs hold the least-squares c0 + c1/R + c2/R^2 model, reported with
-    its residual norm and the uncertainty bound |c1|/R_max + |c2|/R_max^2.
-    """
-
-    limit: float
-    coeffs: tuple[float, float, float]
-    residual_norm: float
-    uncertainty: float
-    convergence_exponent: float
-
-
-def _neville_at_zero(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Value at 0 of the polynomial through (xs, ys)."""
-    t, n = list(ys), len(ys)
-    for m in range(1, n):
-        for i in range(n - m):
-            t[i] = (xs[i + m] * t[i] - xs[i] * t[i + 1]) / (xs[i + m] - xs[i])
-    return t[0]
-
-
-def extrapolate(Rs, vals) -> FitReport:
-    """Extrapolate a 1/R power series to its limit on a geometric grid."""
-    Rs, vals = np.asarray(Rs, dtype=float), np.asarray(vals, dtype=float)
-    if len(Rs) < 3:
-        raise ValueError("need at least 3 grid points")
-    x = 1.0 / Rs
-    limit = _neville_at_zero(x, vals)
-
-    V = np.vstack([np.ones_like(x), x, x * x]).T
-    coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
-
-    scale = max(abs(limit), 1e-300)
-    mask = np.abs(vals - limit) > 1e3 * np.finfo(float).eps * scale
-    exponent = (-float(np.polyfit(np.log(Rs[mask]),
-                                  np.log(np.abs(vals[mask] - limit)), 1)[0])
-                if mask.sum() >= 2 else math.nan)
-    r_max = float(Rs.max())
-    return FitReport(float(limit), tuple(map(float, coeffs)),
-                     float(np.linalg.norm(vals - V @ coeffs)),
-                     float(abs(coeffs[1]) / r_max + abs(coeffs[2]) / r_max ** 2),
-                     exponent)
+    return SweepResult(tuple(rows), h, fiber, geom_template, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -236,45 +183,100 @@ def consistency_triangle_gap(geom: GlueGeometry, fiber: FiberSpectrum) -> float:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    fit: FitReport | None        # None when fewer than 3 rows were computed
-    predicted: float
+    predicted: float             # inf past the float range
+    log_predicted: float
     passed: bool
-    extrapolation_gap: float
-    exponent_ok: bool
+    deviations: tuple[float, ...]   # per sweep row, nan where the row failed
+    tail_bounds: tuple[float, ...]
+    rounding_floors: tuple[float, ...]
     failed_rows: tuple[tuple[float, str], ...] = ()   # (R, error) per failed row
+    cause: str | None = None     # why the check failed
 
 
-def _theorem_check(result: SweepResult, column: str, predicted: float,
+def _zero_mode_log(geom: GlueGeometry, h0: int, R):
+    """h0 log(4 R^2 / (L1 L2)) at R, a stretch or an array of them: what
+    the zero modes add, exactly, to a scaled column's log past its limit."""
+    return -h0 * (np.log1p(0.5 * geom.a1 / R) + np.log1p(0.5 * geom.a2 / R))
+
+
+def _tail_bound(geom: GlueGeometry, fiber: FiberSpectrum, R: np.ndarray,
+                dn: bool) -> np.ndarray:
+    """Bound at each stretch on the nonzero modes' part of a scaled log
+    column past its limit: per mode 2 log(1 - e^{-mu C}) - sum_i log(1 -
+    e^{-2 mu L_i}) for the ratio, |log(1 - x)| <= x / (1 - x), and
+    log1p((t1 - t2)^2 / (4 t1 t2)), t_i = tanh(mu L_i / 2), for det R."""
+    L1, L2 = geom.a1 + 2.0 * R, geom.a2 + 2.0 * R
+    L = np.minimum(L1, L2)
+    if fiber.kind == "circle":
+        mu = 2.0 * math.pi / fiber.circumference   # modes k mu, of mult 2
+
+        def series(x):   # sum_k 2 e^{-k mu x}
+            return 2.0 * np.exp(-mu * x) / -np.expm1(-mu * x)
+
+        if dn:   # (t1 - t2)^2 / (4 t1 t2) <= e^{-2 mu L} / tanh^2(mu L / 2)
+            return series(2.0 * L) / np.tanh(0.5 * mu * L) ** 2
+        return ((2.0 * series(L1 + L2) + series(2.0 * L1) + series(2.0 * L2))
+                / -np.expm1(-2.0 * mu * L))
+    mu, mult = mode_table(fiber)
+    mu = mu[:, None]
+    if dn:
+        t1, t2 = np.tanh(0.5 * mu * L1), np.tanh(0.5 * mu * L2)
+        return mult @ ((t1 - t2) ** 2 / (4.0 * t1 * t2))
+    return mult @ ((2.0 * np.exp(-mu * (L1 + L2)) + np.exp(-2.0 * mu * L1)
+                    + np.exp(-2.0 * mu * L2)) / -np.expm1(-2.0 * mu * L))
+
+
+def _theorem_check(result: SweepResult, dn: bool, log_predicted: float,
                    tol: float) -> TheoremCheck:
-    """Extrapolate one sweep column's finite values and compare them with
-    the predicted limit; a failed row, or one whose value is past the float
-    range, fails the check, which has no fit when fewer than 3 are left."""
-    failed = tuple((r.R, r.error if r.failed else
-                    f"{column} is past the float range") for r in result.rows
-                   if r.failed or not math.isfinite(getattr(r, column)))
-    points = [(R, v) for R, v in zip(result.Rs, result.column(column))
-              if math.isfinite(v)]
-    if len(points) < 3:
-        return TheoremCheck(None, predicted, False, math.nan, False, failed)
-    with np.errstate(over="ignore"):   # the fit may meet values near 1e300
-        fit = extrapolate(*zip(*points))
-    gap = abs(fit.limit - predicted)
-    return TheoremCheck(fit, predicted, gap <= tol and not failed, gap,
-                        0.8 <= fit.convergence_exponent <= 1.2, failed)
+    """Check the limit of log det M - log det M1 - log det M2, or of log
+    det R (dn), per row.  dev = column + h log R - log predicted -
+    h0 log(4 R^2 / (L1 L2)) is the nonzero modes' rest alone: it must lie
+    within the tail bound plus the rounding floor 2 eps (sum mult |per-mode
+    log| + sum |total| + |log predicted| + h |log R|) on every row, and some
+    row must resolve the limit: bound + floor <= tol, |expm1(dev)| <= tol."""
+    rows, h, geom = result.rows, result.h_Y, result.geom_template
+    R = np.array([r.R for r in rows])
+    logs = np.array([[r.log_det_M, r.log_det_M1, r.log_det_M2, r.log_det_R]
+                     for r in rows]).reshape(-1, 4)
+    signs = np.array((0.0, 0.0, 0.0, 1.0) if dn else (1.0, -1.0, -1.0, 0.0))
+    used = np.flatnonzero(signs)
+    dev = ((logs @ signs - log_predicted)
+           + (h * np.log(R) - _zero_mode_log(geom, h // 2, R)))
+    dev[[r.failed for r in rows]] = math.nan
+    mult, *mode_logs = result.grid.mode_logs[1:]
+    floor = 2.0 * np.finfo(float).eps * (
+        mult @ sum(np.abs(mode_logs[i]) for i in used) + abs(log_predicted)
+        + np.abs(logs[:, used]).sum(axis=1) + h * np.abs(np.log(R)))
+    bound = _tail_bound(geom, result.fiber, R, dn)
+    failed_rows = tuple(
+        (r.R, r.error if r.failed else f"deviation {d:.3g} exceeds tail "
+         f"bound {b:.3g} + rounding floor {f:.3g}")
+        for r, d, b, f in zip(rows, dev.tolist(), bound.tolist(),
+                              floor.tolist())
+        if r.failed or not abs(d) <= b + f)
+    with np.errstate(over="ignore"):   # a row far off its limit: gap inf
+        gap = np.abs(np.expm1(dev))
+    passed = not failed_rows and bool(np.any((bound + floor <= tol)
+                                             & (gap <= tol)))
+    cause = (None if passed else "failed rows" if failed_rows
+             else "no rows" if not rows else "grid not asymptotic: tail "
+             f"bound + rounding floor {bound[-1] + floor[-1]:.3g} at R = "
+             f"{R[-1]:g}")
+    return TheoremCheck(_exp(log_predicted), log_predicted, passed,
+                        tuple(dev.tolist()), tuple(bound.tolist()),
+                        tuple(floor.tolist()), failed_rows, cause)
 
 
 def verify_theorem_main(result: SweepResult, tol: float = 1e-4) -> TheoremCheck:
-    """Extrapolate the scaled determinant ratio and compare the prediction."""
-    return _theorem_check(
-        result, "scaled_ratio",
-        predicted_main_limit(result.geom_template, result.fiber), tol)
+    """R^h det M / (det M1 det M2) against its predicted limit, per row."""
+    return _theorem_check(result, False, _log_main_limit(
+        result.geom_template, result.fiber), tol)
 
 
 def verify_theorem_dn(result: SweepResult, tol: float = 1e-4) -> TheoremCheck:
-    """Extrapolate the scaled boundary-operator determinant likewise."""
-    return _theorem_check(
-        result, "scaled_det_R",
-        predicted_dn_limit(result.geom_template, result.fiber), tol)
+    """R^h det R against its predicted limit, per row."""
+    return _theorem_check(result, True, _log_dn_limit(
+        result.geom_template, result.fiber), tol)
 
 
 @dataclass(frozen=True)
@@ -658,7 +660,8 @@ class SplitReport:
     large_limit_value: float
     sum_quadrature: float        # (zeta_small)'(0) + (zeta_large)'(0)
     log_ratio_closed: float
-    asymptote: float             # h log R - log(predicted limit)
+    # h log R - log(predicted limit) - h0 log(4 R^2 / (L1 L2))
+    asymptote: float
     small_quad_error: float      # _integrate's error estimates of both windows
     large_quad_error: float
 
@@ -744,6 +747,7 @@ def verify_smalltime_largetime_split(geom: GlueGeometry, fiber: FiberSpectrum,
         large_limit_value=large_limit,
         sum_quadrature=small_raw + large_raw,
         log_ratio_closed=logdet_closed(geom, fiber).log_ratio,
-        asymptote=2 * h0 * math.log(R) - _log_main_limit(geom, fiber),
+        asymptote=(2 * h0 * math.log(R) - _log_main_limit(geom, fiber)
+                   - float(_zero_mode_log(geom, h0, R))),
         small_quad_error=small_quad_error, large_quad_error=large_quad_error,
     )

@@ -245,22 +245,18 @@ def _run_bfk(cfg, geom, fiber):
 def _run_theorem(cfg, geom, fiber, verify, col):
     result = sweep(geom, fiber, cfg["r_grid"])
     check = verify(result, tol=cfg["tolerances"]["limit_gap"])
-    rows = [[r.R, getattr(r, col), abs(getattr(r, col) - check.predicted)]
-            for r in result.rows]
-    fit = check.fit   # None, and so each fit value, below 3 computed rows
+    rows = [[r.R, getattr(r, col), *per_row] for r, *per_row in zip(
+        result.rows, check.deviations, check.tail_bounds,
+        check.rounding_floors)]
     summary = {
-        "extrapolated_limit": fit and fit.limit,
-        "extrapolation_gap": check.extrapolation_gap,
-        "fit_coefficients": fit and list(fit.coeffs),
-        "fit_residual_norm": fit and fit.residual_norm,
-        "fit_uncertainty": fit and fit.uncertainty,
-        "convergence_exponent": fit and fit.convergence_exponent,
         "predicted_limit": check.predicted,
+        "log_predicted_limit": check.log_predicted,
+        "cause": check.cause,
         "failed_rows": [[R, error] for R, error in check.failed_rows],
     }
-    gates = {"limit_ok": check.passed, "exponent_ok": check.exponent_ok}
     xy = {f"{col}_vs_R": list(zip(result.Rs, result.column(col)))}
-    return ["R", col, "deviation_from_predicted"], rows, summary, gates, xy
+    cols = ["R", col, "log_deviation", "tail_bound", "rounding_floor"]
+    return cols, rows, summary, {"limit_ok": check.passed}, xy
 
 
 def _run_theorem_dn(cfg, geom, fiber):

@@ -6,9 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from zetaglue import adiabatic
 from zetaglue.adiabatic import (
     consistency_triangle_gap,
-    extrapolate,
     predicted_bfk_constant,
     predicted_dn_limit,
     predicted_main_limit,
@@ -172,27 +172,6 @@ def _old_circle_mode_count(g, fib, tail_eps=1e-16):
             return k
 
 
-class TestExtrapolate:
-    def test_recovers_power_series(self):
-        Rs = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
-        vals = 3.0 - 1.2 / Rs + 0.7 / Rs ** 2 - 0.3 / Rs ** 3
-        fit = extrapolate(Rs, vals)
-        assert abs(fit.limit - 3.0) < 1e-10
-        assert abs(fit.coeffs[0] - 3.0) < 1e-3
-        assert 0.8 <= fit.convergence_exponent <= 1.2
-
-    def test_uncertainty_formula(self):
-        Rs = np.array([4.0, 8.0, 16.0, 32.0])
-        vals = 1.0 + 2.0 / Rs
-        fit = extrapolate(Rs, vals)
-        expect = abs(fit.coeffs[1]) / 32.0 + abs(fit.coeffs[2]) / 32.0 ** 2
-        assert abs(fit.uncertainty - expect) < 1e-12
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError):
-            extrapolate([4.0, 8.0], [1.0, 2.0])
-
-
 class TestPredictions:
     def test_standard_instance(self, std_fiber, std_geom):
         g = std_geom()
@@ -225,16 +204,15 @@ class TestPredictions:
 class TestTheoremVerifiers:
     def test_main_standard(self, std_fiber, std_geom):
         check = verify_theorem_main(sweep(std_geom(), std_fiber))
-        assert check.passed
+        assert check.passed and check.cause is None
         assert abs(check.predicted - 0.125) < 1e-14
-        assert check.extrapolation_gap < 1e-4
-        assert check.exponent_ok
+        assert abs(math.expm1(check.deviations[-1])) < 1e-4
 
     def test_dn_standard(self, std_fiber, std_geom):
         check = verify_theorem_dn(sweep(std_geom(), std_fiber))
-        assert check.passed
+        assert check.passed and check.cause is None
         assert abs(check.predicted - 2.0) < 1e-13
-        assert check.extrapolation_gap < 1e-4
+        assert abs(math.expm1(check.deviations[-1])) < 1e-4
 
     def test_main_half_turn(self, std_fiber):
         g = GlueGeometry(1.0, 2.0, 4.0, holonomy=(math.pi,))
@@ -251,7 +229,8 @@ class TestTheoremVerifiers:
         res = sweep(g, circle_fiber)
         main = verify_theorem_main(res, tol=1e-3)
         assert main.passed
-        assert abs(main.fit.limit - math.pi ** 2 / 2) < 1e-3
+        assert abs(main.predicted - math.pi ** 2 / 2) < 1e-12
+        assert abs(math.expm1(main.deviations[-1])) < 1e-3
 
     def test_bfk_corollary(self, std_fiber, std_geom):
         check = verify_bfk_corollary(sweep(std_geom(), std_fiber))
@@ -589,9 +568,42 @@ def test_theorem_fails_on_one_failed_row(std_fiber, std_geom, verify):
     broken = res.rows[:2] + (dataclasses.replace(
         res.rows[2], failed=True, error="boom"),) + res.rows[3:]
     check = verify(dataclasses.replace(res, rows=broken))
-    # four rows are left to extrapolate, but the failed one fails the check
-    assert check.fit is not None and not check.passed
+    # four rows resolve the limit, but the failed one fails the check
+    assert not check.passed and check.cause == "failed rows"
+    assert math.isnan(check.deviations[2])
     assert check.failed_rows == ((res.rows[2].R, "boom"),)
+
+
+@pytest.mark.parametrize("verify", [verify_theorem_main, verify_theorem_dn])
+def test_theorem_fails_without_the_zero_mode_term(std_fiber, std_geom, verify,
+                                                  monkeypatch):
+    # without h0 log(4 R^2 / (L1 L2)) each row is off by about
+    # (a1 + a2) / (2R), far past its tail bound
+    res = sweep(std_geom(), std_fiber)
+    assert verify(res).passed
+    monkeypatch.setattr(adiabatic, "_zero_mode_log",
+                        lambda geom, h0, R: np.zeros_like(R))
+    check = verify(res)
+    assert not check.passed and check.cause == "failed rows"
+    assert [R for R, _ in check.failed_rows] == list(res.Rs)
+    assert all(" exceeds tail bound " in error
+               for _, error in check.failed_rows)
+
+
+@pytest.mark.parametrize("verify", [verify_theorem_main, verify_theorem_dn])
+def test_theorem_fails_on_a_planted_deviation(std_fiber, std_geom, verify):
+    # a log column off by 1e-6 at R = 64 is within the limit gap 1e-4, but
+    # 1e-6 past that row's tail bound of about 1e-112
+    res = sweep(std_geom(), std_fiber)
+    last = res.rows[-1]
+    planted = dataclasses.replace(last, log_det_M=last.log_det_M + 1e-6,
+                                  log_det_R=last.log_det_R + 1e-6)
+    check = verify(dataclasses.replace(res, rows=res.rows[:-1] + (planted,)),
+                   tol=1e-4)
+    assert not check.passed and check.cause == "failed rows"
+    ((R, error),) = check.failed_rows
+    assert R == 64.0 and error.startswith("deviation 1e-06 exceeds tail bound ")
+    assert check.tail_bounds[-1] < 1e-100
 
 
 class TestSplitWindows:
@@ -604,6 +616,17 @@ class TestSplitWindows:
     def test_twist_near_two_pi(self, fiber):
         g = GlueGeometry(2.927, 2.362, 64.0, holonomy=(6.114,))
         assert verify_smalltime_largetime_split(g, fiber).sum_vs_closed_gap \
+            <= 1e-9
+
+    # the asymptote carries the zero modes' exact h0 log(4 R^2 / (L1 L2)):
+    # without it the gap was 0.0409, 0.0206 and 0.0103 at these stretches
+    @pytest.mark.parametrize("R", [64.0, 128.0, 256.0])
+    @pytest.mark.parametrize("fiber", [FiberSpectrum.finite([(0.0, 1), (1.0, 1)]),
+                                       FiberSpectrum.circle(2 * math.pi)],
+                             ids=["finite", "circle"])
+    def test_asymptote_at_every_stretch(self, fiber, R):
+        g = GlueGeometry(2.927, 2.362, R, holonomy=(6.114,))
+        assert verify_smalltime_largetime_split(g, fiber).asymptote_gap \
             <= 1e-9
 
     # the large window must run past the decay of the twist-0 group of

@@ -22,6 +22,8 @@ from zetaglue.adiabatic import (  # noqa: E402
     _log_det_half_complement,
     sweep,
     verify_bfk_corollary,
+    verify_theorem_dn,
+    verify_theorem_main,
 )
 from zetaglue.glue import GlueGeometry, logdet_closed, logdet_grid  # noqa: E402
 from zetaglue.oracles import (  # noqa: E402
@@ -426,3 +428,36 @@ def test_batched_relative_trace_matches_pointwise(inst):
             + heat_trace_dirichlet(geom.L1, 0.0, x)
             + heat_trace_dirichlet(geom.L2, 0.0, x))
         assert abs(g - want) <= 1e-13 * abs(want) + floor
+
+
+@st.composite
+def circle_instances(draw):
+    """A circle fiber of circumference 1-1000, with a1, a2 in [0.5, 3] and
+    one zero-mode phase."""
+    fiber = FiberSpectrum.circle(10.0 ** draw(st.floats(0.0, 3.0)))
+    geom = GlueGeometry(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)),
+                        GRID[0], holonomy=(draw(PHASE),))
+    return fiber, geom
+
+
+# 10^4 nonzero modes: every linear column leaves the float range
+_WIDEST = (FiberSpectrum.finite([(0.0, 1)]
+                                + [(0.5 + 0.003 * k, 1) for k in range(10_000)]),
+           GlueGeometry(1.0, 2.0, 2.0, holonomy=(1.5,)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(instances(), circle_instances()))
+@example(_WIDEST)
+def test_theorem_deviation_within_tail_bound_and_floor(inst):
+    # each row's deviation from the limit is the nonzero modes' remainder
+    # alone, from R = 2 out to 1e5
+    fiber, geom = inst
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sweep(geom, fiber, (2.0, 8.0, 64.0, 1024.0, 1e5))
+        for check in (verify_theorem_main(result), verify_theorem_dn(result)):
+            assert check.failed_rows == ()
+            for dev, bound, floor in zip(check.deviations, check.tail_bounds,
+                                         check.rounding_floors, strict=True):
+                assert abs(dev) <= bound + floor
