@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +53,7 @@ __all__ = [
 DEFAULT_R_GRID = (4.0, 8.0, 16.0, 32.0, 64.0)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     R: float
     log_det_M: float
     log_det_M1: float
@@ -65,22 +66,48 @@ class SweepRow:
     error: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    """A sweep: its determinant grid, whose log columns the checks read,
+    and its rows, built on first read."""
+
     h_Y: int
     fiber: FiberSpectrum
     geom_template: GlueGeometry
-    # the columns the rows come from, with their per-mode logs
-    grid: DeterminantGrid = field(repr=False, compare=False)
+    grid: DeterminantGrid = field(repr=False)
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """A row per stretch, its linear columns from its logs; nan, with
+        the error's text, where the grid failed the stretch."""
+        rows, h, grid = [], self.h_Y, self.grid
+        for R, M, M1, M2, D, error in zip(grid.Rs, *grid.totals, grid.errors):
+            lr = M - M1 - M2
+            rows.append(SweepRow(R, *[math.nan] * 7, True, str(error))
+                        if error is not None else
+                        SweepRow(R, M, M1, M2, D, _scaled_exp(lr, R, h),
+                                 _scaled_exp(D, R, h), _scaled_exp(lr - D)))
+        return tuple(rows)
 
     @property
     def Rs(self) -> tuple[float, ...]:
         return self.column("R")
 
     def column(self, name: str) -> tuple[float, ...]:
-        """The column over the rows that did not fail."""
-        return tuple(getattr(r, name) for r in self.rows if not r.failed)
+        """The column over the rows that did not fail; R and the logs are
+        read from the grid, with no row built."""
+        i, grid = SweepRow._fields.index(name), self.grid
+        col = (grid.Rs, *grid.totals)[i] if i < 5 else (r[i] for r in self.rows)
+        return tuple(v for v, error in zip(col, grid.errors) if error is None)
+
+
+def _row_logs(grid: DeterminantGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(failed mask, stretches x 4 array of log det M, M1, M2, R): the
+    rows' logs, nan on a failed stretch."""
+    failed = np.array([error is not None for error in grid.errors], dtype=bool)
+    logs = np.column_stack(grid.totals)
+    logs[failed] = math.nan
+    return failed, logs
 
 
 def sweep(geom_template: GlueGeometry, fiber: FiberSpectrum,
@@ -88,18 +115,11 @@ def sweep(geom_template: GlueGeometry, fiber: FiberSpectrum,
     """Fill the determinant columns over a stretch grid, in grid order.
 
     All stretches are evaluated together by logdet_grid: one array pass
-    for a finite fiber, one pass per stretch for a circle fiber.  Rows fail
-    only where it failed a stretch; their linear columns come from the logs.
+    for a finite fiber, one pass per stretch for a circle fiber.  The
+    result holds that grid; its rows are built when first read.
     """
     grid = logdet_grid(geom_template, fiber, sorted(map(float, R_grid)))
-    rows, h = [], grid.h_Y
-    for R, M, M1, M2, D, error in zip(grid.Rs, *grid.totals, grid.errors):
-        lr = M - M1 - M2
-        rows.append(SweepRow(R, *[math.nan] * 7, failed=True, error=str(error))
-                    if error is not None else
-                    SweepRow(R, M, M1, M2, D, _scaled_exp(lr, R, h),
-                             _scaled_exp(D, R, h), _scaled_exp(lr - D)))
-    return SweepResult(tuple(rows), h, fiber, geom_template, grid)
+    return SweepResult(grid.h_Y, fiber, geom_template, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +141,14 @@ def _exp(x: float, exp=math.exp) -> float:
         return exp(x)
     except OverflowError:
         return math.inf
+
+
+def _exps(x: np.ndarray, exp=math.exp) -> list[float]:
+    """_exp of each entry of an array, as floats."""
+    try:
+        return list(map(exp, x.tolist()))
+    except OverflowError:
+        return [_exp(v, exp) for v in x.tolist()]
 
 
 def _scaled_exp(x: float, R: float = 1.0, h: int = 0) -> float:
@@ -234,32 +262,30 @@ def _theorem_check(result: SweepResult, dn: bool, log_predicted: float,
     within the tail bound plus the rounding floor 2 eps (sum mult |per-mode
     log| + sum |total| + |log predicted| + h |log R|) on every row, and some
     row must resolve the limit: bound + floor <= tol, |expm1(dev)| <= tol."""
-    rows, h, geom = result.rows, result.h_Y, result.geom_template
-    R = np.array([r.R for r in rows])
-    logs = np.array([[r.log_det_M, r.log_det_M1, r.log_det_M2, r.log_det_R]
-                     for r in rows]).reshape(-1, 4)
+    grid, h, geom = result.grid, result.h_Y, result.geom_template
+    R = np.array(grid.Rs, dtype=float)
+    failed, logs = _row_logs(grid)
     signs = np.array((0.0, 0.0, 0.0, 1.0) if dn else (1.0, -1.0, -1.0, 0.0))
     used = np.flatnonzero(signs)
     dev = ((logs @ signs - log_predicted)
            + (h * np.log(R) - _zero_mode_log(geom, h // 2, R)))
-    dev[[r.failed for r in rows]] = math.nan
-    mult, *mode_logs = result.grid.mode_logs[1:]
+    mult, *mode_logs = grid.mode_logs[1:]
     floor = 2.0 * np.finfo(float).eps * (
         mult @ sum(np.abs(mode_logs[i]) for i in used) + abs(log_predicted)
         + np.abs(logs[:, used]).sum(axis=1) + h * np.abs(np.log(R)))
     bound = _tail_bound(geom, result.fiber, R, dn)
+    # a failed row's logs, so its deviation, are nan: outside every bound
     failed_rows = tuple(
-        (r.R, r.error if r.failed else f"deviation {d:.3g} exceeds tail "
-         f"bound {b:.3g} + rounding floor {f:.3g}")
-        for r, d, b, f in zip(rows, dev.tolist(), bound.tolist(),
-                              floor.tolist())
-        if r.failed or not abs(d) <= b + f)
+        (grid.Rs[j], str(grid.errors[j]) if failed[j] else
+         f"deviation {dev[j]:.3g} exceeds tail bound {bound[j]:.3g} + "
+         f"rounding floor {floor[j]:.3g}")
+        for j in np.flatnonzero(~(np.abs(dev) <= bound + floor)).tolist())
     with np.errstate(over="ignore"):   # a row far off its limit: gap inf
         gap = np.abs(np.expm1(dev))
     passed = not failed_rows and bool(np.any((bound + floor <= tol)
                                              & (gap <= tol)))
     cause = (None if passed else "failed rows" if failed_rows
-             else "no rows" if not rows else "grid not asymptotic: tail "
+             else "no rows" if not len(R) else "grid not asymptotic: tail "
              f"bound + rounding floor {bound[-1] + floor[-1]:.3g} at R = "
              f"{R[-1]:g}")
     return TheoremCheck(_exp(log_predicted), log_predicted, passed,
@@ -297,25 +323,21 @@ def verify_bfk_corollary(result: SweepResult, rel_tol: float = 1e-9) -> BfkCheck
     Each row's relative deviation is |expm1(log ratio - log constant)|, inf
     past the float range, the log ratio being log det M - log det M1 -
     log det M2 - log det R, so the check never divides by a constant that
-    underflowed.
+    underflowed.  It reads the grid's log columns and builds no row.
     """
     exponent = _bfk_exponent(result.fiber)
     log_predicted = exponent * math.log(2.0)
-    rel_devs, ratios, failed, worst = [], [], [], 0.0
-    for r in result.rows:
-        dev = abs(_exp((r.log_det_M - r.log_det_M1 - r.log_det_M2
-                        - r.log_det_R) - log_predicted, math.expm1))
-        rel_devs.append(dev)
-        if r.failed:
-            failed.append((r.R, r.error))
-        else:
-            ratios.append(r.bfk_ratio)
-            if dev > worst:
-                worst = dev
-    passed = bool(ratios) and not failed and worst <= rel_tol
-    return BfkCheck(2.0 ** exponent, log_predicted,
-                    worst, passed, tuple(ratios), tuple(rel_devs),
-                    tuple(failed))
+    failed, logs = _row_logs(result.grid)
+    with np.errstate(over="ignore"):   # logs that cancel past the float range
+        log_ratio = logs[:, 0] - logs[:, 1] - logs[:, 2] - logs[:, 3]
+    rel_devs = np.abs(_exps(log_ratio - log_predicted, math.expm1))
+    ratios = tuple(_exps(log_ratio[~failed]))
+    worst = float(rel_devs[~failed].max(initial=0.0))
+    failed_rows = tuple((result.grid.Rs[j], str(result.grid.errors[j]))
+                        for j in np.flatnonzero(failed).tolist())
+    passed = bool(ratios) and not failed_rows and worst <= rel_tol
+    return BfkCheck(2.0 ** exponent, log_predicted, worst, passed, ratios,
+                    tuple(rel_devs.tolist()), failed_rows)
 
 
 # ---------------------------------------------------------------------------

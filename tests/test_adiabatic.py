@@ -551,23 +551,37 @@ def test_bfk_holds_where_the_linear_columns_leave_the_float_range():
     assert check.per_row == (0.0,) * len(grid)
 
 
+def _failed_at(res, j, error):
+    """res with its grid's stretch j failed by a RuntimeError(error)."""
+    errors = list(res.grid.errors)
+    errors[j] = RuntimeError(error)
+    return dataclasses.replace(res, grid=dataclasses.replace(
+        res.grid, errors=tuple(errors)))
+
+
 def test_bfk_fails_on_one_failed_row(std_fiber, std_geom):
     res = sweep(std_geom(), std_fiber)
     assert verify_bfk_corollary(res).passed
-    broken = res.rows[:2] + (dataclasses.replace(
-        res.rows[2], failed=True, error="boom"),) + res.rows[3:]
-    check = verify_bfk_corollary(dataclasses.replace(res, rows=broken))
+    check = verify_bfk_corollary(_failed_at(res, 2, "boom"))
     assert not check.passed
     assert check.failed_rows == ((res.rows[2].R, "boom"),)
+
+
+@pytest.mark.parametrize("verify", [verify_bfk_corollary, verify_theorem_main,
+                                    verify_theorem_dn])
+def test_checks_build_no_rows(std_fiber, std_geom, verify):
+    # the checks read the grid's columns; rows are built when first read
+    res = sweep(std_geom(), std_fiber)
+    assert verify(res).passed and res.Rs == (4.0, 8.0, 16.0, 32.0, 64.0)
+    assert "rows" not in vars(res)
+    assert res.rows[0].R == 4.0 and "rows" in vars(res)
 
 
 @pytest.mark.parametrize("verify", [verify_theorem_main, verify_theorem_dn])
 def test_theorem_fails_on_one_failed_row(std_fiber, std_geom, verify):
     res = sweep(std_geom(), std_fiber)
     assert verify(res).passed
-    broken = res.rows[:2] + (dataclasses.replace(
-        res.rows[2], failed=True, error="boom"),) + res.rows[3:]
-    check = verify(dataclasses.replace(res, rows=broken))
+    check = verify(_failed_at(res, 2, "boom"))
     # four rows resolve the limit, but the failed one fails the check
     assert not check.passed and check.cause == "failed rows"
     assert math.isnan(check.deviations[2])
@@ -595,11 +609,12 @@ def test_theorem_fails_on_a_planted_deviation(std_fiber, std_geom, verify):
     # a log column off by 1e-6 at R = 64 is within the limit gap 1e-4, but
     # 1e-6 past that row's tail bound of about 1e-112
     res = sweep(std_geom(), std_fiber)
-    last = res.rows[-1]
-    planted = dataclasses.replace(last, log_det_M=last.log_det_M + 1e-6,
-                                  log_det_R=last.log_det_R + 1e-6)
-    check = verify(dataclasses.replace(res, rows=res.rows[:-1] + (planted,)),
-                   tol=1e-4)
+    totals = [list(col) for col in res.grid.totals]
+    totals[0][-1] += 1e-6   # log det M
+    totals[3][-1] += 1e-6   # log det R
+    planted = dataclasses.replace(res, grid=dataclasses.replace(
+        res.grid, totals=tuple(totals)))
+    check = verify(planted, tol=1e-4)
     assert not check.passed and check.cause == "failed rows"
     ((R, error),) = check.failed_rows
     assert R == 64.0 and error.startswith("deviation 1e-06 exceeds tail bound ")

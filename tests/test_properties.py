@@ -6,6 +6,7 @@ determinants a circle fiber glues into, the heat-trace deviation and
 symmetries of the relative trace, and the closed form of the composite
 scattering matrix."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -17,7 +18,10 @@ hypothesis = pytest.importorskip("hypothesis")
 mpmath = pytest.importorskip("mpmath")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from zetaglue import adiabatic  # noqa: E402
 from zetaglue.adiabatic import (  # noqa: E402
+    BfkCheck,
+    TheoremCheck,
     _TwistGroups,
     _log_det_half_complement,
     sweep,
@@ -461,3 +465,103 @@ def test_theorem_deviation_within_tail_bound_and_floor(inst):
             for dev, bound, floor in zip(check.deviations, check.tail_bounds,
                                          check.rounding_floors, strict=True):
                 assert abs(dev) <= bound + floor
+
+
+def _bfk_by_rows(result, rel_tol=1e-9):
+    """verify_bfk_corollary as a loop over the sweep rows: the reference
+    for its column form."""
+    exponent = adiabatic._bfk_exponent(result.fiber)
+    log_predicted = exponent * math.log(2.0)
+    rel_devs, ratios, failed, worst = [], [], [], 0.0
+    for r in result.rows:
+        dev = abs(adiabatic._exp((r.log_det_M - r.log_det_M1 - r.log_det_M2
+                                  - r.log_det_R) - log_predicted, math.expm1))
+        rel_devs.append(dev)
+        if r.failed:
+            failed.append((r.R, r.error))
+        else:
+            ratios.append(r.bfk_ratio)
+            if dev > worst:
+                worst = dev
+    passed = bool(ratios) and not failed and worst <= rel_tol
+    return BfkCheck(2.0 ** exponent, log_predicted, worst, passed,
+                    tuple(ratios), tuple(rel_devs), tuple(failed))
+
+
+def _theorem_by_rows(result, dn, tol=1e-4):
+    """The theorem check with its logs and failed rows read from the sweep
+    rows: the reference for its column form."""
+    rows, h, geom = result.rows, result.h_Y, result.geom_template
+    log_predicted = (adiabatic._log_dn_limit if dn
+                     else adiabatic._log_main_limit)(geom, result.fiber)
+    R = np.array([r.R for r in rows])
+    logs = np.array([[r.log_det_M, r.log_det_M1, r.log_det_M2, r.log_det_R]
+                     for r in rows]).reshape(-1, 4)
+    signs = np.array((0.0, 0.0, 0.0, 1.0) if dn else (1.0, -1.0, -1.0, 0.0))
+    used = np.flatnonzero(signs)
+    dev = ((logs @ signs - log_predicted)
+           + (h * np.log(R) - adiabatic._zero_mode_log(geom, h // 2, R)))
+    dev[[r.failed for r in rows]] = math.nan
+    mult, *mode_logs = result.grid.mode_logs[1:]
+    floor = 2.0 * EPS * (
+        mult @ sum(np.abs(mode_logs[i]) for i in used) + abs(log_predicted)
+        + np.abs(logs[:, used]).sum(axis=1) + h * np.abs(np.log(R)))
+    bound = adiabatic._tail_bound(geom, result.fiber, R, dn)
+    failed_rows = tuple(
+        (r.R, r.error if r.failed else f"deviation {d:.3g} exceeds tail "
+         f"bound {b:.3g} + rounding floor {f:.3g}")
+        for r, d, b, f in zip(rows, dev.tolist(), bound.tolist(),
+                              floor.tolist())
+        if r.failed or not abs(d) <= b + f)
+    with np.errstate(over="ignore"):
+        gap = np.abs(np.expm1(dev))
+    passed = not failed_rows and bool(np.any((bound + floor <= tol)
+                                             & (gap <= tol)))
+    cause = (None if passed else "failed rows" if failed_rows
+             else "no rows" if not rows else "grid not asymptotic: tail "
+             f"bound + rounding floor {bound[-1] + floor[-1]:.3g} at R = "
+             f"{R[-1]:g}")
+    return TheoremCheck(adiabatic._exp(log_predicted), log_predicted, passed,
+                        tuple(dev.tolist()), tuple(bound.tolist()),
+                        tuple(floor.tolist()), failed_rows, cause)
+
+
+def _bits(x):
+    """x with each float as its hex string, so that nan equals nan."""
+    if isinstance(x, float):
+        return x.hex()
+    return tuple(map(_bits, x)) if isinstance(x, tuple) else x
+
+
+# a circle fiber on a grid that ends past the float range
+CIRCLE_SWEEPS = circle_instances().map(
+    lambda inst: (*inst, [2.0, 8.0, 64.0, 1e154, 1e308]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(sweeps(), CIRCLE_SWEEPS), st.none() | st.integers(0, 1999))
+@example(_R4_OVERFLOWS, None)
+@example(_R4_OVERFLOWS, 1)
+def test_checks_match_their_row_loops(inst, plant):
+    # the column checks equal the row loops bit for bit, on failed rows,
+    # rows past the float range and a failure planted on finite logs
+    fiber, geom, grid = inst
+    result = sweep(geom, fiber, grid)
+    if plant is not None:
+        errors = list(result.grid.errors)
+        errors[plant % len(errors)] = RuntimeError("planted")
+        result = dataclasses.replace(result, grid=dataclasses.replace(
+            result.grid, errors=tuple(errors)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's warnings are off in BFK
+        checks = (verify_bfk_corollary(result),)
+    with warnings.catch_warnings():
+        # past R of about 1e154 the tail bound overflows on both paths
+        warnings.simplefilter("ignore")
+        checks += (verify_theorem_main(result), verify_theorem_dn(result))
+        assert "rows" not in vars(result)
+        references = (_bfk_by_rows(result), _theorem_by_rows(result, False),
+                      _theorem_by_rows(result, True))
+    for check, reference in zip(checks, references):
+        assert _bits(dataclasses.astuple(check)) == _bits(
+            dataclasses.astuple(reference))
